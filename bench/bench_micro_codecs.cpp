@@ -8,9 +8,11 @@
 //
 //   --json PATH    CI gate: verifies every golden-blob digest (the
 //                  unchanged-bitstream guarantee) through BOTH compress
-//                  paths, measures scratch-path round-trip rates, writes
-//                  the measurements as a JSON artifact, and exits nonzero
-//                  on any hash drift.
+//                  paths, checks that the "zstd" codec's repeat probe
+//                  keeps its ratio within 1% of unprobed zx_compress,
+//                  measures scratch-path round-trip rates, writes the
+//                  measurements as a JSON artifact, and exits nonzero on
+//                  any hash drift or gate failure.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -24,10 +26,12 @@
 
 #include "bench_util.hpp"
 #include "circuits/datasets.hpp"
+#include "circuits/qft.hpp"
 #include "common/bits.hpp"
 #include "compression/codec_scratch.hpp"
 #include "compression/golden_blobs.hpp"
 #include "lossless/zx.hpp"
+#include "qsim/state_vector.hpp"
 #include "zfp/zfp.hpp"
 
 namespace {
@@ -200,6 +204,23 @@ const std::vector<double>& sparse_data() {
   return data;
 }
 
+/// Final state of the fixed QFT-18 instance the repository benchmark runs
+/// (qft_circuit seed 32): an odd input, so the state is nearly
+/// incompressible and most 64 KiB blocks have no repeated word.
+const std::vector<double>& qft_data() {
+  static const std::vector<double> data = [] {
+    constexpr int kQubits = 18;
+    qsim::StateVector state(kQubits);
+    state.apply_circuit(circuits::qft_circuit({.num_qubits = kQubits,
+                                               .random_input = true,
+                                               .final_swaps = true,
+                                               .seed = 32}));
+    const auto raw = state.raw();
+    return std::vector<double>(raw.begin(), raw.end());
+  }();
+  return data;
+}
+
 compression::ErrorBound bound_for(const compression::Compressor& codec) {
   return codec.supports(compression::BoundMode::kPointwiseRelative)
              ? compression::ErrorBound::relative(1e-3)
@@ -301,6 +322,41 @@ RateRow measure_scratch_rate(const std::string& name,
           rate.ratio};
 }
 
+struct ProbeRow {
+  std::string dataset;
+  std::size_t block_kib = 0;
+  double ratio = 0.0;           // "zstd" codec (repeat probe on)
+  double unprobed_ratio = 0.0;  // zx_compress on the same blocks
+  bool regressed = false;
+};
+
+/// Ratio of the "zstd" codec against unprobed zx_compress over
+/// `block_bytes` blocks of `data`: the whole dataset, and the 64 KiB
+/// blocks the simulator compresses in the repository benchmark.
+ProbeRow probe_ratio(const std::string& dataset, std::span<const double> data,
+                     std::size_t block_bytes) {
+  const auto codec = compression::make_compressor("zstd");
+  compression::CodecScratch scratch;
+  lossless::ZxScratch unprobed_scratch;
+  Bytes unprobed_out;
+  const std::size_t per_block = block_bytes / sizeof(double);
+  std::size_t probed = 0;
+  for (std::size_t at = 0; at < data.size(); at += per_block) {
+    const auto block = data.subspan(at, std::min(per_block, data.size() - at));
+    probed += codec->compress(block, compression::ErrorBound::lossless(),
+                              scratch).size();
+    lossless::zx_compress_into(as_bytes_span(block), {}, unprobed_scratch,
+                               unprobed_out);
+  }
+  const std::size_t unprobed = unprobed_out.size();
+  ProbeRow row{dataset, block_bytes >> 10, bench::ratio_of(data, probed),
+               bench::ratio_of(data, unprobed)};
+  // 1% slack admits the rare block whose only LZ77 matches are ones the
+  // probe does not look for.
+  row.regressed = row.ratio < 0.99 * row.unprobed_ratio;
+  return row;
+}
+
 int run_ci_gate(const std::string& json_path) {
   bench::print_header(
       "Codec micro bench: golden-blob drift gate + scratch-path rates");
@@ -384,11 +440,36 @@ int run_ci_gate(const std::string& json_path) {
         zfp_regressed ? "  <-- REGRESSION" : "");
   }
 
-  // 3. Scratch-path throughput per codec on the two standard datasets.
+  const struct {
+    const char* name;
+    std::span<const double> data;
+  } datasets[] = {{"qaoa18", bench::qaoa_data()},
+                  {"sparse", sparse_data()},
+                  {"qft18", qft_data()}};
+
+  // 3. The "zstd" repeat probe must not cost ratio: within 1% of unprobed
+  // zx on every dataset, whole and in 64 KiB blocks.
+  std::vector<ProbeRow> probe_rows;
+  int probe_regressions = 0;
+  for (const auto& ds : datasets) {
+    for (std::size_t block_bytes :
+         {ds.data.size_bytes(), std::size_t{64} << 10}) {
+      probe_rows.push_back(probe_ratio(ds.name, ds.data, block_bytes));
+      const ProbeRow& row = probe_rows.back();
+      probe_regressions += row.regressed ? 1 : 0;
+      std::printf("zstd probe %-6s %5zu KiB blocks: ratio %.4f, unprobed "
+                  "%.4f%s\n",
+                  row.dataset.c_str(), row.block_kib, row.ratio,
+                  row.unprobed_ratio, row.regressed ? "  <-- REGRESSION" : "");
+    }
+  }
+
+  // 4. Scratch-path throughput per codec on every dataset.
   std::vector<RateRow> rows;
   for (const auto& name : compression::compressor_names()) {
-    rows.push_back(measure_scratch_rate(name, "qaoa18", bench::qaoa_data()));
-    rows.push_back(measure_scratch_rate(name, "sparse", sparse_data()));
+    for (const auto& ds : datasets) {
+      rows.push_back(measure_scratch_rate(name, ds.name, ds.data));
+    }
   }
   std::printf("%-12s %-8s %12s %12s %8s\n", "codec", "dataset",
               "comp MB/s", "decomp MB/s", "ratio");
@@ -413,6 +494,17 @@ int run_ci_gate(const std::string& json_path) {
                prod_compress_mb_per_s);
   std::fprintf(f, "  \"zfp_compress_speedup_vs_seed\": %.3f,\n",
                prod_compress_mb_per_s / seed_compress_mb_per_s);
+  std::fprintf(f, "  \"zstd_probe_regressions\": %d,\n", probe_regressions);
+  std::fprintf(f, "  \"zstd_probe\": [\n");
+  for (std::size_t i = 0; i < probe_rows.size(); ++i) {
+    const auto& row = probe_rows[i];
+    std::fprintf(f,
+                 "    {\"dataset\": \"%s\", \"block_kib\": %zu, "
+                 "\"ratio\": %.4f, \"unprobed_ratio\": %.4f}%s\n",
+                 row.dataset.c_str(), row.block_kib, row.ratio,
+                 row.unprobed_ratio, i + 1 < probe_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"rates\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
@@ -440,6 +532,13 @@ int run_ci_gate(const std::string& json_path) {
                  "FAIL: production zfp bitstream diverged from the frozen "
                  "seed reference on %d dataset/bound combination(s)\n",
                  zfp_mismatches);
+    return 1;
+  }
+  if (probe_regressions > 0) {
+    std::fprintf(stderr,
+                 "FAIL: the zstd codec's ratio fell more than 1%% below "
+                 "unprobed zx_compress on %d dataset/block size(s)\n",
+                 probe_regressions);
     return 1;
   }
   if (zfp_regressed) {

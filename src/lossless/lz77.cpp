@@ -49,18 +49,20 @@ inline std::size_t match_length(const std::byte* a, const std::byte* b,
   return static_cast<std::size_t>(a - start);
 }
 
+/// Chain terminator in `prev` and the empty-head value of head_at().
+constexpr std::uint32_t kNoPosition = 0xffffffffu;
+
 /// Opens a tokenize pass over `scratch`: bumps the generation so every
 /// head-table entry from earlier passes reads as empty, and guarantees the
 /// chain table covers `n` positions. Generation wrap (once per 2^32
 /// passes) falls back to one full restamp.
 void begin_pass(Lz77Scratch& scratch, std::size_t n) {
   if (scratch.head.size() != kHashSize) {
-    scratch.head.assign(kHashSize, -1);
-    scratch.head_gen.assign(kHashSize, 0);
+    scratch.head.assign(kHashSize, 0);
     scratch.generation = 0;
   }
   if (++scratch.generation == 0) {
-    std::fill(scratch.head_gen.begin(), scratch.head_gen.end(), 0);
+    std::fill(scratch.head.begin(), scratch.head.end(), 0);
     scratch.generation = 1;
   }
   if (scratch.prev.size() < n) scratch.prev.resize(n);
@@ -71,35 +73,42 @@ void begin_pass(Lz77Scratch& scratch, std::size_t n) {
 void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
                    Lz77Scratch& scratch) {
   const std::size_t n = input.size();
+  if (n > kMaxTokenizeBytes) {
+    throw std::length_error("cqs: lz77 input of 4 GiB or more");
+  }
   const std::byte* base = input.data();
   begin_pass(scratch, n);
 
   auto* const head = scratch.head.data();
-  auto* const head_gen = scratch.head_gen.data();
   auto* const prev = scratch.prev.data();
   const std::uint32_t gen = scratch.generation;
-  const auto head_at = [&](std::uint32_t h) -> std::int64_t {
-    return head_gen[h] == gen ? head[h] : -1;
+  const std::uint64_t stamp = std::uint64_t{gen} << 32;
+  const auto head_at = [&](std::uint32_t h) -> std::uint32_t {
+    const std::uint64_t e = head[h];
+    return (e >> 32) == gen ? static_cast<std::uint32_t>(e) : kNoPosition;
+  };
+  const auto link = [&](std::uint32_t h, std::size_t p) {
+    prev[p] = head_at(h);
+    head[h] = stamp | p;
   };
 
   std::size_t literal_start = 0;
   std::size_t pos = 0;
   while (pos + kHashBytes <= n) {
     const std::uint32_t h = hash6(base + pos);
-    std::int64_t candidate = head_at(h);
+    std::uint32_t candidate = head_at(h);
     std::size_t best_len = 0;
     std::size_t best_offset = 0;
     int chain = config.max_chain;
-    while (candidate >= 0 && chain-- > 0) {
-      const auto cand_pos = static_cast<std::size_t>(candidate);
+    while (candidate != kNoPosition && chain-- > 0) {
       const std::size_t len =
-          match_length(base + pos, base + cand_pos, base + n);
+          match_length(base + pos, base + candidate, base + n);
       if (len > best_len) {
         best_len = len;
-        best_offset = pos - cand_pos;
+        best_offset = pos - candidate;
         if (len >= config.good_match || len >= config.max_match) break;
       }
-      candidate = prev[cand_pos];
+      candidate = prev[candidate];
     }
 
     if (best_len >= kMinEmit) {
@@ -114,17 +123,12 @@ void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
       const std::size_t end = pos + best_len;
       const std::size_t step = best_len > 512 ? 509 : 1;  // prime stride
       for (std::size_t i = pos; i + kHashBytes <= n && i < end; i += step) {
-        const std::uint32_t hi = hash6(base + i);
-        prev[i] = head_at(hi);
-        head[hi] = static_cast<std::int64_t>(i);
-        head_gen[hi] = gen;
+        link(hash6(base + i), i);
       }
       pos = end;
       literal_start = pos;
     } else {
-      prev[pos] = head_at(h);
-      head[h] = static_cast<std::int64_t>(pos);
-      head_gen[h] = gen;
+      link(h, pos);
       ++pos;
     }
   }
@@ -145,14 +149,21 @@ void lz77_detokenize(ByteSpan tokens, std::size_t expected_size, Bytes& out) {
   std::size_t offset = 0;
   while (true) {
     const std::uint64_t lit_len = get_varint(tokens, offset);
-    if (offset + lit_len > tokens.size()) {
+    if (lit_len > tokens.size() - offset) {
       throw std::runtime_error("cqs: lz77 literal overrun");
+    }
+    if (lit_len > expected_size - out.size()) {
+      throw std::runtime_error("cqs: lz77 literals exceed expected size");
     }
     out.insert(out.end(), tokens.begin() + offset,
                tokens.begin() + offset + lit_len);
     offset += lit_len;
     const std::uint64_t len_code = get_varint(tokens, offset);
     if (len_code == 0) break;
+    const std::size_t room = expected_size - out.size();
+    if (room < kMinMatch || len_code - 1 > room - kMinMatch) {
+      throw std::runtime_error("cqs: lz77 match exceeds expected size");
+    }
     const std::uint64_t match_len = len_code - 1 + kMinMatch;
     const std::uint64_t match_offset = get_varint(tokens, offset);
     if (match_offset == 0 || match_offset > out.size()) {

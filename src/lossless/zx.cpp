@@ -1,6 +1,9 @@
 #include "lossless/zx.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -27,10 +30,18 @@ void huffman_bytes_into(ByteSpan data, ZxScratch& scratch, Bytes& out) {
   writer.flush();
 }
 
-void unhuffman_bytes_into(ByteSpan data, ZxScratch& scratch, Bytes& out) {
+/// Decodes a Huffman-coded token stream. The encoder only keeps a token
+/// stream shorter than the input, so `count` must stay below
+/// `original_size`; every code is at least one bit, so it must also fit
+/// the payload. Both are checked before `out` is sized.
+void unhuffman_bytes_into(ByteSpan data, std::uint64_t original_size,
+                          ZxScratch& scratch, Bytes& out) {
   std::size_t offset = 0;
   scratch.decoder.parse_table(data, offset, 256);
   const std::uint64_t count = get_varint(data, offset);
+  if (count >= original_size || count / 8 > data.size() - offset) {
+    throw std::runtime_error("cqs: zx token count exceeds its bounds");
+  }
   out.resize(count);
   BitReader reader(data.subspan(offset));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -38,7 +49,13 @@ void unhuffman_bytes_into(ByteSpan data, ZxScratch& scratch, Bytes& out) {
   }
 }
 
-void append_raw_container(ByteSpan input, Bytes& out) {
+/// Probe table cap: 2^16 stamped entries (512 KiB), kept at most half
+/// full, so the probe covers blocks of up to 2^15 words (256 KiB).
+constexpr std::size_t kProbeMaxEntries = std::size_t{1} << 16;
+
+}  // namespace
+
+void zx_store_raw_into(ByteSpan input, Bytes& out) {
   out.push_back(kMagic0);
   out.push_back(kMagic1);
   out.push_back(kModeRaw);
@@ -46,7 +63,48 @@ void append_raw_container(ByteSpan input, Bytes& out) {
   out.insert(out.end(), input.begin(), input.end());
 }
 
-}  // namespace
+bool zx_has_word_repeat(ByteSpan input, ZxScratch& scratch) {
+  const std::size_t words = input.size() / 8;
+  if (input.size() % 8 != 0 || 2 * words > kProbeMaxEntries) return true;
+  if (words < 2) return false;
+
+  // Open-addressing set of the words seen so far, keyed by their top six
+  // bytes. Entries pack (generation << 32) | word index, so a pass only
+  // touches the slots it probes.
+  const std::size_t entries = std::bit_ceil(2 * words);
+  auto& table = scratch.probe;
+  if (table.size() < entries) table.assign(entries, 0);
+  if (++scratch.probe_generation == 0) {
+    std::fill(table.begin(), table.end(), 0);
+    scratch.probe_generation = 1;
+  }
+  const std::uint32_t gen = scratch.probe_generation;
+  const std::uint64_t stamp = std::uint64_t{gen} << 32;
+  const int shift = 64 - std::countr_zero(entries);
+  const std::size_t mask = entries - 1;
+  const std::byte* base = input.data();
+  // Bytes 2..7 of a little-endian double: sign, exponent and the top 36
+  // mantissa bits.
+  const auto top6 = [base](std::size_t word) {
+    std::uint64_t v;
+    std::memcpy(&v, base + 8 * word, 8);
+    return v >> 16;
+  };
+  for (std::size_t i = 0; i < words; ++i) {
+    const std::uint64_t key = top6(i);
+    std::size_t slot = (key * 0x9e3779b185ebca87ull) >> shift;
+    while (true) {
+      const std::uint64_t e = table[slot];
+      if ((e >> 32) != gen) {
+        table[slot] = stamp | i;
+        break;
+      }
+      if (top6(static_cast<std::uint32_t>(e)) == key) return true;
+      slot = (slot + 1) & mask;
+    }
+  }
+  return false;
+}
 
 void zx_compress_into(ByteSpan input, const ZxConfig& config,
                       ZxScratch& scratch, Bytes& out) {
@@ -56,7 +114,7 @@ void zx_compress_into(ByteSpan input, const ZxConfig& config,
   lz77_tokenize(input, scratch.tokens, config.lz, scratch.lz);
 
   if (scratch.tokens.size() >= input.size()) {
-    append_raw_container(input, out);
+    zx_store_raw_into(input, out);
     return;
   }
 
@@ -79,7 +137,7 @@ void zx_compress_into(ByteSpan input, const ZxConfig& config,
   // Raw fallback guarantee: if the pipeline expanded the data, store raw.
   if (out.size() - base > input.size() + 12) {
     out.resize(base);
-    append_raw_container(input, out);
+    zx_store_raw_into(input, out);
   }
 }
 
@@ -109,7 +167,7 @@ void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch, Bytes& out) {
   }
   ByteSpan tokens;
   if (mode == kModeLzHuff) {
-    unhuffman_bytes_into(payload, scratch, scratch.tokens);
+    unhuffman_bytes_into(payload, original_size, scratch, scratch.tokens);
     tokens = scratch.tokens;
   } else if (mode == kModeLz) {
     tokens = payload;  // detokenize reads the container bytes in place

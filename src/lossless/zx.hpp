@@ -10,6 +10,20 @@
 //   [mode 3] table + varint token byte count
 //   payload
 //
+// Mode choice: LZ77 runs first; a token stream no shorter than the input
+// (no match was emitted) is stored raw. Huffman is tried only on a token
+// stream that did shrink. Huffman-coding literal-only streams was
+// measured and left out: it saved 4% of peak compressed bytes on QFT-18,
+// but decoding the resulting blocks made the read phase 16x slower
+// (0.035 -> 0.57 s) and the run slower overall.
+//
+// Amplitude blocks skip LZ77 when zx_has_word_repeat() finds no aligned
+// 8-byte word sharing its top six bytes with an earlier one; the "zstd"
+// codec then stores the block raw straight away. That is the container
+// LZ77 would have produced unless it found a match the probe does not
+// look for (unaligned, or over low-order bytes only), which on amplitude
+// data is rare. Inputs to the LZ77 stage are limited to 4 GiB (lz77.hpp).
+//
 // The *_into variants append/replace into caller-owned buffers and thread
 // a ZxScratch, so a warm scratch makes a full compress/decompress round
 // allocation-free; the value-returning entry points forward to them.
@@ -27,9 +41,13 @@ struct ZxConfig {
 };
 
 /// Reusable working state for one zx compress/decompress stream: the LZ77
-/// hash chains, token/entropy staging buffers, and the Huffman coder pair.
+/// hash chains, the repeat-probe table, token/entropy staging buffers, and
+/// the Huffman coder pair.
 struct ZxScratch {
   Lz77Scratch lz;
+  /// zx_has_word_repeat's generation-stamped table, sized to the block.
+  std::vector<std::uint64_t> probe;
+  std::uint32_t probe_generation = 0;
   Bytes tokens;  // LZ77 token stream (compress) / decoded tokens (decompress)
   Bytes huffed;  // Huffman-coded candidate payload
   HuffmanEncoder encoder;
@@ -38,8 +56,9 @@ struct ZxScratch {
   /// Bytes held across passes, Huffman coder pools included (Eq. 8
   /// accounting).
   std::size_t bytes() const {
-    return lz.bytes() + tokens.capacity() + huffed.capacity() +
-           encoder.bytes() + decoder.bytes();
+    return lz.bytes() + probe.capacity() * sizeof(std::uint64_t) +
+           tokens.capacity() + huffed.capacity() + encoder.bytes() +
+           decoder.bytes();
   }
 };
 
@@ -51,6 +70,17 @@ Bytes zx_compress(ByteSpan input, const ZxConfig& config = {});
 /// appends to `out` (existing contents untouched).
 void zx_compress_into(ByteSpan input, const ZxConfig& config,
                       ZxScratch& scratch, Bytes& out);
+
+/// Appends the raw (mode 0) container for `input` to `out`.
+void zx_store_raw_into(ByteSpan input, Bytes& out);
+
+/// Repeat probe for blocks of 8-byte words: false only if the input is a
+/// whole number of words, at most 2^15 of them, and no word shares its top
+/// six bytes (hence also no word equals) an earlier one. It stops at the
+/// first repeat and costs only the words it examines. A false answer rules
+/// out the matches amplitude data gives LZ77, so the block may be stored
+/// raw.
+bool zx_has_word_repeat(ByteSpan input, ZxScratch& scratch);
 
 /// Decompresses a zx container. Throws std::runtime_error on corruption.
 Bytes zx_decompress(ByteSpan compressed);

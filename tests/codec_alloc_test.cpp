@@ -1,72 +1,21 @@
-// Allocation-counting hook: global operator new/delete replacements count
-// every heap allocation in this binary, proving the scratch-pooled codec
-// paths reach a zero-allocation steady state — the *_into entry points
+// Proves the scratch-pooled codec paths reach a zero-allocation steady
+// state through the allocation-counting hook: the *_into entry points
 // allocate nothing once warm, and the Compressor scratch overloads
 // allocate exactly the one exact-sized payload they hand back.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_hook.hpp"
+#include "common/rng.hpp"
 #include "compression/codec_scratch.hpp"
 #include "compression/golden_blobs.hpp"
 #include "lossless/zx.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, std::max<std::size_t>(
-                             static_cast<std::size_t>(align), sizeof(void*)),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace cqs::compression {
 namespace {
 
-/// Allocations performed by `fn`.
-template <typename Fn>
-std::uint64_t count_allocations(Fn&& fn) {
-  const std::uint64_t before = g_allocations.load();
-  fn();
-  return g_allocations.load() - before;
-}
+using test::count_allocations;
 
 TEST(CodecAllocTest, ZxIntoPathsAreAllocationFreeWhenWarm) {
   const auto& data = golden_fixture("spiky");
@@ -122,6 +71,25 @@ TEST(CodecAllocTest, ScratchCompressorsReachSteadyState) {
       EXPECT_EQ(decompress_allocs, 0u) << name << "/" << fixture;
     }
   }
+}
+
+TEST(CodecAllocTest, RepeatProbePathAllocatesOnlyThePayload) {
+  // Random doubles have no repeated word, so the "zstd" codec stores them
+  // raw without running LZ77; the probe table must be warm scratch too.
+  Rng rng(5);
+  std::vector<double> data(8192);
+  for (auto& d : data) d = rng.next_normal();
+  const auto codec = make_compressor("zstd");
+  CodecScratch scratch;
+  for (int warm = 0; warm < 2; ++warm) {
+    (void)codec->compress(data, ErrorBound::lossless(), scratch);
+  }
+  Bytes payload;
+  const std::uint64_t allocs = count_allocations([&] {
+    payload = codec->compress(data, ErrorBound::lossless(), scratch);
+  });
+  EXPECT_EQ(allocs, 1u);
+  EXPECT_EQ(payload.size(), data.size() * sizeof(double) + 6);  // raw
 }
 
 TEST(CodecAllocTest, Lz77ScratchReuseIsConstantCost) {

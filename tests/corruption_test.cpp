@@ -10,9 +10,12 @@
 #include <limits>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "compression/codec_scratch.hpp"
 #include "compression/compressor.hpp"
+#include "lossless/huffman.hpp"
 #include "lossless/zx.hpp"
 #include "runtime/checkpoint.hpp"
 #include "test_util.hpp"
@@ -117,6 +120,74 @@ TEST(ZxCorruptionTest, RawModeSizeMismatch) {
   container.push_back(std::byte{10});  // claims 10 bytes
   container.push_back(std::byte{1});   // provides 1
   EXPECT_THROW(lossless::zx_decompress(container), std::runtime_error);
+}
+
+// Hand-built zx containers whose lengths or counts claim 2^40 bytes: each
+// must fail with std::runtime_error before anything near that size is
+// allocated.
+constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+constexpr std::size_t kBlockBytes = 8192;
+constexpr std::size_t kSaneAllocation = std::size_t{1} << 20;
+
+Bytes zx_header(std::uint8_t mode, std::uint64_t original_size) {
+  Bytes c{std::byte{'Z'}, std::byte{'X'}, std::byte{mode}};
+  put_varint(c, original_size);
+  return c;
+}
+
+void expect_bounded_failure(ByteSpan container) {
+  const test::AllocationStats stats = test::measure_allocations([&] {
+    EXPECT_THROW(lossless::zx_decompress(container), std::runtime_error);
+  });
+  EXPECT_LT(stats.largest, kSaneAllocation);
+}
+
+TEST(ZxCorruptionTest, HugeHeaderSizeRejectedByZstdCodec) {
+  const auto codec = compression::make_compressor("zstd");
+  compression::CodecScratch scratch;
+  std::vector<double> out(kBlockBytes / sizeof(double));
+  for (std::uint8_t mode : {0, 2, 3}) {
+    Bytes container = zx_header(mode, kHuge);
+    put_varint(container, 0);  // a token stream that would end at once
+    put_varint(container, 0);
+    const test::AllocationStats stats = test::measure_allocations([&] {
+      EXPECT_THROW(codec->decompress(container, out, scratch),
+                   std::runtime_error)
+          << "mode " << int{mode};
+    });
+    EXPECT_LT(stats.largest, kSaneAllocation) << "mode " << int{mode};
+  }
+}
+
+TEST(ZxCorruptionTest, HugeLiteralLengthRejected) {
+  Bytes container = zx_header(2, kBlockBytes);
+  put_varint(container, kHuge);  // literal run
+  container.resize(container.size() + 64, std::byte{1});
+  expect_bounded_failure(container);
+}
+
+TEST(ZxCorruptionTest, HugeMatchLengthRejected) {
+  Bytes container = zx_header(2, kBlockBytes);
+  put_varint(container, 1);  // one literal byte
+  container.push_back(std::byte{9});
+  put_varint(container, kHuge);  // match length code
+  put_varint(container, 1);      // offset
+  put_varint(container, 0);
+  expect_bounded_failure(container);
+}
+
+TEST(ZxCorruptionTest, HugeHuffmanTokenCountRejected) {
+  std::vector<std::uint64_t> counts(256, 0);
+  counts[0] = 3;
+  counts[1] = 1;
+  const auto encoder = lossless::HuffmanEncoder::from_counts(counts);
+  for (std::uint64_t original : {std::uint64_t{kBlockBytes}, kHuge}) {
+    Bytes container = zx_header(3, original);
+    encoder.write_table(container);
+    put_varint(container, kHuge - 1);  // token count
+    container.resize(container.size() + 64, std::byte{0x5a});
+    expect_bounded_failure(container);
+  }
 }
 
 using CheckpointCorruptionTest = test::TempDirFixture;

@@ -1,14 +1,17 @@
-// Unit tests for the lossless stack: canonical Huffman, LZ77, and the zx
-// container (the Zstd stand-in).
+// Unit tests for the lossless stack: canonical Huffman, LZ77, the zx
+// container (the Zstd stand-in), and the "zstd" codec's repeat probe.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "compression/compressor.hpp"
 #include "lossless/huffman.hpp"
 #include "lossless/lz77.hpp"
 #include "lossless/zx.hpp"
@@ -192,6 +195,114 @@ TEST(ZxTest, StateVectorLikeDataRoundTrip) {
   const Bytes output = zx_decompress(compressed);
   ASSERT_EQ(output.size(), input.size());
   EXPECT_EQ(0, std::memcmp(output.data(), input.data(), input.size()));
+}
+
+TEST(Lz77Test, DetokenizeRejectsMatchPastExpectedSize) {
+  Bytes tokens;
+  put_varint(tokens, 1);  // one literal
+  tokens.push_back(std::byte{3});
+  put_varint(tokens, 5);  // match length 8
+  put_varint(tokens, 1);  // offset
+  put_varint(tokens, 0);  // no trailing literals
+  put_varint(tokens, 0);  // terminator
+  EXPECT_EQ(lz77_detokenize(tokens, 9).size(), 9u);
+  EXPECT_THROW(lz77_detokenize(tokens, 8), std::runtime_error);
+}
+
+TEST(Lz77Test, TokenizeRejectsInputsOf4GiB) {
+  // Chain links are 32-bit positions. A lazily mapped, never touched
+  // zero region stands in for the 4 GiB input.
+  const std::size_t n = kMaxTokenizeBytes + 1;
+  void* region = mmap(nullptr, n, PROT_READ,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (region == MAP_FAILED) GTEST_SKIP() << "cannot reserve 4 GiB";
+  Bytes tokens;
+  EXPECT_THROW(
+      lz77_tokenize(ByteSpan(static_cast<const std::byte*>(region), n),
+                    tokens),
+      std::length_error);
+  EXPECT_TRUE(tokens.empty());
+  munmap(region, n);
+}
+
+// ---- The "zstd" codec's repeat probe -------------------------------------
+
+std::vector<double> random_doubles(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(n);
+  for (auto& v : values) v = rng.next_normal();
+  return values;
+}
+
+Bytes zstd_compress(std::span<const double> values) {
+  return compression::make_compressor("zstd")->compress(
+      values, compression::ErrorBound::lossless());
+}
+
+bool probe_finds_repeat(std::span<const double> values) {
+  ZxScratch scratch;
+  return zx_has_word_repeat(as_bytes_span(values), scratch);
+}
+
+TEST(ZxProbeTest, DistinctWordsAreStoredRawAndRoundTrip) {
+  const auto values = random_doubles(4096, 41);
+  EXPECT_FALSE(probe_finds_repeat(values));
+  const Bytes container = zstd_compress(values);
+  ASSERT_GT(container.size(), 2u);
+  EXPECT_EQ(container[2], std::byte{0});  // raw mode
+  std::vector<double> out(values.size());
+  compression::make_compressor("zstd")->decompress(container, out);
+  EXPECT_EQ(out, values);
+}
+
+TEST(ZxProbeTest, FirstWordRepeatedLastTakesFullPath) {
+  auto values = random_doubles(4096, 42);
+  values.back() = values.front();
+  EXPECT_TRUE(probe_finds_repeat(values));
+  EXPECT_EQ(zstd_compress(values), zx_compress(as_bytes_span<double>(values)));
+}
+
+TEST(ZxProbeTest, TopSixByteRepeatTakesFullPath) {
+  auto values = random_doubles(4096, 43);
+  std::uint64_t bits;
+  std::memcpy(&bits, &values[7], sizeof bits);
+  bits ^= 0x0101;  // low two bytes differ, top six shared
+  std::memcpy(&values[3000], &bits, sizeof bits);
+  EXPECT_TRUE(probe_finds_repeat(values));
+  EXPECT_EQ(zstd_compress(values), zx_compress(as_bytes_span<double>(values)));
+}
+
+TEST(ZxProbeTest, ZerosAndEmptyBlockMatchUnprobedZx) {
+  const std::vector<double> zeros(4096, 0.0);
+  EXPECT_TRUE(probe_finds_repeat(zeros));
+  EXPECT_EQ(zstd_compress(zeros), zx_compress(as_bytes_span<double>(zeros)));
+  const std::vector<double> empty;
+  EXPECT_FALSE(probe_finds_repeat(empty));
+  EXPECT_EQ(zstd_compress(empty), zx_compress({}));
+}
+
+TEST(ZxProbeTest, BlocksBeyondTheTableOrRaggedTakeFullPath) {
+  // More words than the capped table covers: the probe cannot rule out a
+  // repeat, so it reports one.
+  EXPECT_TRUE(probe_finds_repeat(random_doubles((1u << 15) + 1, 44)));
+  EXPECT_FALSE(probe_finds_repeat(random_doubles(1u << 15, 44)));
+  Bytes ragged(8 * 64 + 3);
+  Rng rng(45);
+  for (auto& b : ragged) b = static_cast<std::byte>(rng.next_u64());
+  ZxScratch scratch;
+  EXPECT_TRUE(zx_has_word_repeat(ragged, scratch));
+}
+
+TEST(ZxProbeTest, ReusedScratchForgetsEarlierBlocks) {
+  // Generation stamps must hide the previous block's words: the same
+  // distinct block probed twice in a row still has no repeat.
+  const auto values = random_doubles(2048, 46);
+  ZxScratch scratch;
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_FALSE(zx_has_word_repeat(as_bytes_span<double>(values), scratch));
+  }
+  const auto smaller = random_doubles(100, 47);
+  EXPECT_FALSE(zx_has_word_repeat(as_bytes_span<double>(smaller), scratch));
 }
 
 }  // namespace
