@@ -1,8 +1,8 @@
 // Gate-run batching ablation: the compression-overhead discussion of the
 // paper (codec time dominates per-gate simulation) measured head-to-head.
 // For QFT, Grover, and supremacy circuits the same simulation runs once
-// with the block-local gate-run scheduler on and once on the per-gate
-// path, comparing codec invocation counts, lossy fidelity passes, wall
+// with the block-local gate-run scheduler on and once as the per-gate
+// baseline (max_run_length = 1, fusion off), comparing codec invocation counts, lossy fidelity passes, wall
 // time, and the final states (which must agree within codec tolerance).
 //
 //   $ ./bench_gate_batching [--qubits N] [--level L] [--json PATH]
@@ -51,7 +51,10 @@ RunResult run_once(const cqs::qsim::Circuit& circuit, bool batching,
   config.num_ranks = 2;
   config.blocks_per_rank = 4;
   config.initial_level = level;
-  config.enable_run_batching = batching;
+  if (!batching) {  // the per-gate baseline: one gate per run, no fusion
+    config.max_run_length = 1;
+    config.enable_fusion_prepass = false;
+  }
   // The cache would absorb codec passes on structured circuits; disable it
   // so the comparison isolates what the scheduler saves.
   config.enable_cache = false;

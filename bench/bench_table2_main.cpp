@@ -7,22 +7,16 @@
 //
 //   $ ./bench_table2_main [--small] [--json PATH]
 //
-// After the table, every row reruns as a pipeline+SIMD ablation at two
-// worker threads: overlapped executor + vector kernels on vs both off.
-// States must stay bit-identical (the pipeline only reorders which worker
-// touches a block; the SIMD kernels issue the same IEEE ops) — any drift
-// exits nonzero. On multi-core hosts the run also fails if the pipeline
-// engaged but showed no stage activity at all (zero prefetches AND zero
-// stalls on every row — the overlap machinery silently degraded).
+// After the table, every row reruns as a SIMD ablation at two worker
+// threads: vector kernels on vs off. States must stay bit-identical (the
+// SIMD kernels issue the same IEEE ops) — any drift exits nonzero.
 // --small shrinks the instances for the CI bench-smoke job; --json writes
-// the measurements (including the report's stage_overlap_utilization and
-// pipeline_stalls) for the BENCH_table2_main.json artifact.
+// the measurements for the BENCH_table2_main.json artifact.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -49,14 +43,10 @@ struct AblationResult {
   std::string name;
   int qubits = 0;
   std::size_t gates = 0;
-  double seconds_on = 0.0;   // pipeline + SIMD kernels
-  double seconds_off = 0.0;  // sequential executor + scalar kernels
+  double seconds_on = 0.0;   // SIMD kernels
+  double seconds_off = 0.0;  // scalar kernels
   bool state_identical = false;
   std::string simd_kernel;
-  double stage_overlap_utilization = 0.0;
-  std::uint64_t pipeline_blocks = 0;
-  std::uint64_t pipeline_prefetched = 0;
-  std::uint64_t pipeline_stalls = 0;
 
   double speedup() const {
     return seconds_on > 0.0 ? seconds_off / seconds_on : 0.0;
@@ -114,11 +104,10 @@ AblationResult run_ablation(const Row& row) {
   result.qubits = row.circuit.num_qubits();
   result.gates = row.circuit.size();
 
-  auto run_once = [&](bool overlapped) {
+  auto run_once = [&](bool simd) {
     core::SimConfig config = row_config(row);
-    config.threads = 2;  // the pipeline needs >= 2 workers to engage
-    config.enable_pipeline = overlapped;
-    config.enable_simd_kernels = overlapped;
+    config.threads = 2;
+    config.enable_simd_kernels = simd;
     core::CompressedStateSimulator sim(config);
     WallTimer timer;
     sim.apply_circuit(row.circuit);
@@ -132,24 +121,14 @@ AblationResult run_ablation(const Row& row) {
   result.seconds_off = seconds_off;
   result.state_identical = state_on == state_off;
   result.simd_kernel = report_on.simd_kernel;
-  result.stage_overlap_utilization = report_on.stage_overlap_utilization();
-  result.pipeline_blocks = report_on.pipeline_blocks;
-  result.pipeline_prefetched = report_on.pipeline_prefetched;
-  result.pipeline_stalls = report_on.pipeline_stalls;
   return result;
 }
 
 void print_ablation(const AblationResult& r) {
   std::printf(
-      "%-14s %6d  %7.2fs -> %7.2fs (%4.2fx)  overlap %5.1f%% "
-      "(%llu/%llu blocks, %llu stalls)  kernels %-6s  state %s\n",
+      "%-14s %6d  %7.2fs -> %7.2fs (%4.2fx)  kernels %-6s  state %s\n",
       r.name.c_str(), r.qubits, r.seconds_off, r.seconds_on, r.speedup(),
-      100.0 * r.stage_overlap_utilization,
-      static_cast<unsigned long long>(r.pipeline_prefetched),
-      static_cast<unsigned long long>(r.pipeline_blocks),
-      static_cast<unsigned long long>(r.pipeline_stalls),
-      r.simd_kernel.c_str(),
-      r.state_identical ? "bit-identical" : "DRIFTED");
+      r.simd_kernel.c_str(), r.state_identical ? "bit-identical" : "DRIFTED");
 }
 
 void write_json(const std::string& path,
@@ -164,12 +143,7 @@ void write_json(const std::string& path,
         << ", \"seconds_on\": " << r.seconds_on
         << ", \"speedup\": " << r.speedup()
         << ",\n     \"simd_kernel\": \"" << r.simd_kernel
-        << "\", \"stage_overlap_utilization\": "
-        << r.stage_overlap_utilization
-        << ",\n     \"pipeline_blocks\": " << r.pipeline_blocks
-        << ", \"pipeline_prefetched\": " << r.pipeline_prefetched
-        << ", \"pipeline_stalls\": " << r.pipeline_stalls
-        << ",\n     \"state_identical\": "
+        << "\", \"state_identical\": "
         << (r.state_identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -262,7 +236,7 @@ int main(int argc, char** argv) try {
   }
 
   bench::print_header(
-      "Pipeline + SIMD ablation (2 workers, on vs off, bit-identity gated)");
+      "SIMD kernel ablation (2 workers, on vs off, bit-identity gated)");
   std::vector<AblationResult> ablation;
   for (const Row& row : rows) {
     ablation.push_back(run_ablation(row));
@@ -278,35 +252,9 @@ int main(int argc, char** argv) try {
   for (const AblationResult& r : ablation) {
     if (!r.state_identical) {
       std::fprintf(stderr,
-                   "FAIL: %s state drifted between pipeline+SIMD on and "
-                   "off (must be bit-identical)\n",
+                   "FAIL: %s state drifted between SIMD kernels on and off "
+                   "(must be bit-identical)\n",
                    r.name.c_str());
-      failed = true;
-    }
-    if (r.pipeline_blocks == 0) {
-      std::fprintf(stderr,
-                   "FAIL: %s configured the pipeline at 2 workers but no "
-                   "block went through the overlapped executor\n",
-                   r.name.c_str());
-      failed = true;
-    }
-  }
-  // Stage-overlap regression gate: on a real multi-core host, a bench-wide
-  // total absence of cross-worker prefetches AND stalls means the overlap
-  // machinery silently stopped overlapping. Single-core hosts (where the
-  // two workers timeshare one CPU) only enforce the structural gates above.
-  if (std::thread::hardware_concurrency() >= 2) {
-    bool any_activity = false;
-    for (const AblationResult& r : ablation) {
-      if (r.pipeline_prefetched > 0 || r.pipeline_stalls > 0) {
-        any_activity = true;
-      }
-    }
-    if (!any_activity) {
-      std::fprintf(stderr,
-                   "FAIL: no stage overlap activity on any row "
-                   "(utilization and stalls all zero on a multi-core "
-                   "host)\n");
       failed = true;
     }
   }

@@ -11,7 +11,8 @@
 //                        unlimited, stays lossless)
 //     --fuse             apply single-qubit gate fusion first (the run
 //                        scheduler also fuses internally by default)
-//     --no-batching      disable the block-local gate-run scheduler
+//     --no-batching      one gate per codec round (max run length 1, no
+//                        fusion pre-pass; overrides --max-run)
 //     --max-run N        cap scheduled ops per gate run (0 = unlimited)
 //     --checkpoint PATH  save a checkpoint at the end
 //     --samples N        print N sampled basis states
@@ -106,6 +107,7 @@ int main(int argc, char** argv) try {
   double budget_fraction = 0.0;
   double resident_fraction = 0.0;
   bool fuse = false;
+  bool no_batching = false;
   std::string checkpoint_path;
   int samples = 0;
   bool resilient = false;
@@ -131,7 +133,7 @@ int main(int argc, char** argv) try {
     } else if (arg == "--fuse") {
       fuse = true;
     } else if (arg == "--no-batching") {
-      config.enable_run_batching = false;
+      no_batching = true;
     } else if (arg == "--max-run") {
       config.max_run_length =
           static_cast<std::size_t>(std::atoll(next()));
@@ -173,6 +175,10 @@ int main(int argc, char** argv) try {
     } else {
       usage(argv[0]);
     }
+  }
+  if (no_batching) {  // one gate per run, applied verbatim
+    config.max_run_length = 1;
+    config.enable_fusion_prepass = false;
   }
 
   std::ifstream in(circuit_path);

@@ -196,10 +196,18 @@ inline void write_bitmask(Bytes& out, const std::vector<bool>& mask) {
 }
 
 /// Reverses write_bitmask into `mask` (capacity reused), advancing
-/// `offset` past the padded final byte.
+/// `offset` past the padded final byte. The stored length is untrusted: it
+/// must equal `expected` and its bits must fit in the bytes left in `in`,
+/// both checked before the mask is sized.
 inline void read_bitmask(ByteSpan in, std::size_t& offset,
-                         std::vector<bool>& mask) {
+                         std::vector<bool>& mask, std::size_t expected) {
   const std::uint64_t n = get_varint(in, offset);
+  if (n != expected) {
+    throw std::runtime_error("cqs: bitmask length mismatch");
+  }
+  if (n / 8 + (n % 8 != 0 ? 1 : 0) > in.size() - offset) {
+    throw std::runtime_error("cqs: bitmask truncated");
+  }
   mask.assign(n, false);
   BitReader reader(in.subspan(offset));
   for (std::uint64_t i = 0; i < n; ++i) mask[i] = reader.read_bit() != 0;

@@ -1,11 +1,6 @@
 // A small fixed-size thread pool with a blocking parallel_for. Workers are
 // identified by a dense index so callers can keep per-worker scratch state
 // (the MCDRAM-style decompression buffers) without locking.
-//
-// StageChannel is the stage-handoff primitive of the block pipeline: a
-// bounded blocking MPMC queue that carries decoded blocks from the
-// prefetch stage to the apply stage. Capacity bounds the number of
-// in-flight staging buffers so the Eq. 8 memory charge stays fixed.
 #pragma once
 
 #include <condition_variable>
@@ -15,7 +10,6 @@
 #include <functional>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -75,80 +69,6 @@ class ThreadPool {
   Job job_;
   std::deque<std::packaged_task<void()>> tasks_;
   bool stop_ = false;
-};
-
-/// Bounded blocking MPMC handoff queue between pipeline stages. Producers
-/// block while the channel is full; consumers block while it is empty and
-/// not yet closed. close() wakes everyone: pending pushes fail, pops drain
-/// the remaining items and then return nullopt.
-template <typename T>
-class StageChannel {
- public:
-  explicit StageChannel(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  StageChannel(const StageChannel&) = delete;
-  StageChannel& operator=(const StageChannel&) = delete;
-
-  /// Blocks while full. Returns false if the channel is (or becomes) closed
-  /// before the item is accepted.
-  bool push(T item) {
-    std::unique_lock lock(mutex_);
-    space_cv_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking pop; true if an item was ready.
-  bool try_pop(T& out) {
-    std::lock_guard lock(mutex_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return true;
-  }
-
-  /// Blocking pop. Returns nullopt once the channel is closed and drained.
-  /// `waited`, when given, reports whether the caller had to sleep — the
-  /// pipeline counts those as stalls.
-  std::optional<T> pop(bool* waited = nullptr) {
-    std::unique_lock lock(mutex_);
-    if (waited != nullptr) *waited = items_.empty() && !closed_;
-    item_cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T out = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return out;
-  }
-
-  /// Closes the channel: blocked producers fail, consumers drain then stop.
-  void close() {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-    }
-    item_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable item_cv_;   // signalled when an item arrives / close
-  std::condition_variable space_cv_;  // signalled when space frees / close
-  std::deque<T> items_;
-  bool closed_ = false;
 };
 
 }  // namespace cqs

@@ -92,21 +92,28 @@ struct SimConfig {
   bool enable_cache = true;
   std::size_t cache_lines = 64;
 
-  /// Gate-run batching: the scheduler groups maximal runs of consecutive
-  /// gates whose targets and controls all fall in the offset segment, and
-  /// each block pays one decompress -> apply-run -> recompress round (and,
-  /// at a lossy level, one fidelity pass) per run instead of per gate.
-  bool enable_run_batching = true;
+  // Gate-run batching: the scheduler groups maximal runs of consecutive
+  // gates whose targets and controls all fall in the offset segment, and
+  // each block pays one decompress -> apply-run -> recompress round per
+  // run instead of per gate. Gates that touch the block or rank segments
+  // run alone, one codec sweep each.
+  //
+  // Eq. 11 pass rule: the fidelity ledger records one lossy pass per codec
+  // sweep that wrote at least one lossy block. A block-local run is one
+  // sweep, so a block-local SWAP costs 1 pass. A SWAP with a qubit in the
+  // block or rank segment runs as three CX sweeps and costs 3. A remap
+  // exchange sweep, a ladder recompression and a measurement collapse
+  // cost 1 each.
 
   /// Cap on scheduled ops per run (0 = unlimited). Shorter runs mean more
   /// frequent memory-budget checks between codec passes; when a memory
   /// budget is set and this is 0, the simulator caps runs at 16 ops so
-  /// ladder escalation stays responsive mid-stretch.
+  /// ladder escalation stays responsive mid-stretch. 1 with
+  /// enable_fusion_prepass off is the per-gate baseline: every gate pays
+  /// its own codec round, applied verbatim.
   std::size_t max_run_length = 0;
 
-  /// Compose fuse_single_qubit_gates as a scheduler pre-pass (only takes
-  /// effect when enable_run_batching is on; the per-gate path applies
-  /// circuits verbatim).
+  /// Compose fuse_single_qubit_gates as a scheduler pre-pass.
   bool enable_fusion_prepass = true;
 
   /// Logical->physical qubit remapping (Intel-QS-style relabeling over
@@ -129,18 +136,6 @@ struct SimConfig {
   /// expanding them into three CX sweeps. Exact up to the sign of zero
   /// components the skipped X kernels would have recomputed.
   bool remap_relabel_swaps = true;
-
-  /// Overlapped block pipeline: while gates apply to block N, block N+1 is
-  /// decompressed into a pooled staging buffer and block N-1 recompresses
-  /// on another worker. Bit-identical to the sequential path (each block's
-  /// work is unchanged, only overlapped); needs >= 2 worker threads to
-  /// engage, otherwise the sequential path runs.
-  bool enable_pipeline = true;
-
-  /// Staging buffers the pipeline may hold decoded at once (the classic
-  /// double buffer at 2). Each costs one block buffer of scratch, charged
-  /// to Eq. 8. In [1, 64].
-  int pipeline_depth = 2;
 
   /// Runtime-dispatched SIMD apply kernels (AVX2/NEON). Bit-identical to
   /// the scalar reference by construction; off forces the scalar path.

@@ -127,16 +127,7 @@ void SimulationReport::print(std::ostream& os) const {
        << " in place (" << remap_exchanges_avoided
        << " exchanges avoided, " << remap_policy << " policy)\n";
   }
-  os << "simd_kernel:         " << simd_kernel << "\n";
-  if (pipeline_enabled) {
-    os << std::setprecision(1) << "stage_overlap_utilization: "
-       << stage_overlap_utilization() * 100.0 << " % ("
-       << pipeline_prefetched << "/" << pipeline_blocks
-       << " blocks prefetched across workers)\n"
-       << "pipeline_stalls:     " << pipeline_stalls << " (depth "
-       << pipeline_depth << ")\n" << std::setprecision(2);
-  }
-  os
+  os << "simd_kernel:         " << simd_kernel << "\n"
      << "cache:               " << cache.hits << " hits / " << cache.misses
      << " misses" << (cache.disabled ? " (disabled)" : "") << "\n";
 }

@@ -105,10 +105,10 @@ struct CompressedStateSimulator::RunPlan {
   InvocationCounter blocks_lossy;  ///< of those, ones the lossy codec wrote
 };
 
-/// One single-block unit task, shared by the sequential and the overlapped
-/// pipeline executors: how to identify the unit in the cache, what to
-/// compute on the decoded amplitudes, and where to account the
-/// recompression. Every field is safe to call from any worker.
+/// One single-block unit task, shared by the offset-target, diagonal and
+/// gate-run sweeps: how to identify the unit in the cache, what to compute
+/// on the decoded amplitudes, and where to account the recompression.
+/// Every field is safe to call from any worker.
 struct CompressedStateSimulator::UnitSpec {
   int level = 0;
   /// Cache key of one unit (called only when the cache is enabled; must
@@ -194,12 +194,6 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
     qsim::parse_remap_policy(config_.remap_policy);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("simulator: ") + e.what());
-  }
-
-  // Pipeline knobs are likewise validated even when the pipeline is off.
-  if (config_.pipeline_depth < 1 || config_.pipeline_depth > 64) {
-    throw std::invalid_argument(
-        "simulator: pipeline_depth must be in [1, 64] staging buffers");
   }
 
   // Out-of-core knobs: a spill path needs a resident budget to govern the
@@ -292,14 +286,8 @@ CompressedStateSimulator::CompressedStateSimulator(SimConfig config)
   pool_ = std::make_unique<ThreadPool>(threads);
   worker_timers_.resize(pool_->size());
   codec_stats_.resize(pool_->size());
-  // The pipeline needs a second worker to overlap with; with one worker
-  // the sequential path runs and no staging memory is charged to Eq. 8.
-  const std::size_t staging =
-      config_.enable_pipeline && pool_->size() >= 2
-          ? static_cast<std::size_t>(config_.pipeline_depth)
-          : 0;
   scratch_ = std::make_unique<runtime::ScratchArena>(
-      pool_->size(), partition_.doubles_per_block(), staging);
+      pool_->size(), partition_.doubles_per_block());
   tier_stats_ = std::make_unique<runtime::TierStats>();
   if (!config_.spill_path.empty()) {
     // SpillError (with errno) surfaces unwritable paths at construction,
@@ -562,14 +550,6 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
   // needs every gate rewritten.
   const bool remap_path = config_.enable_qubit_remap || !map_.is_identity();
 
-  if (!remap_path && !config_.enable_run_batching) {
-    for (std::uint64_t i = gate_cursor_; i < end; ++i) {
-      apply_single_counted(ops[i]);
-      gate_cursor_ = i + 1;
-    }
-    return;
-  }
-
   // Schedule only the unapplied slice so fused ops and runs never span
   // the resume point, keeping the cursor exact in source-gate units.
   qsim::Circuit suffix(circuit.num_qubits());
@@ -586,8 +566,7 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
   // boundaries cannot change which gates fuse: remap-on then executes
   // exactly the arithmetic remap-off executes, which is what keeps the
   // two paths bit-identical at the lossless level.
-  const bool fuse =
-      config_.enable_run_batching && config_.enable_fusion_prepass;
+  const bool fuse = config_.enable_fusion_prepass;
   std::vector<std::size_t> origins;
   qsim::Circuit planned = fuse ? qsim::fuse_single_qubit_gates(
                                      suffix, nullptr, &origins)
@@ -638,15 +617,6 @@ void CompressedStateSimulator::run_source_range(const qsim::Circuit& circuit,
 void CompressedStateSimulator::run_segment(
     const qsim::Circuit& segment,
     const std::vector<std::size_t>* origin_counts) {
-  if (!config_.enable_run_batching) {
-    for (std::size_t i = 0; i < segment.ops().size(); ++i) {
-      apply_single_counted(segment.ops()[i]);
-      gate_cursor_ +=
-          origin_counts != nullptr ? (*origin_counts)[i] : 1;
-    }
-    return;
-  }
-
   qsim::SchedulerOptions options;
   options.intra_qubits = partition_.offset_bits;
   options.max_run_length = config_.max_run_length;
@@ -682,7 +652,9 @@ void CompressedStateSimulator::run_segment(
 
 void CompressedStateSimulator::apply_impl(const GateOp& op) {
   if (op.kind == GateKind::kSwap) {
-    // SWAP = CX(a,b) CX(b,a) CX(a,b); reuses the pairing machinery.
+    // SWAP = CX(a,b) CX(b,a) CX(a,b); reuses the pairing machinery. Each
+    // CX is its own codec sweep, so at a lossy level this SWAP records
+    // three passes (the Eq. 11 pass rule in core/config.hpp).
     const int a = op.target;
     const int b = op.controls[0];
     apply_impl({GateKind::kCX, b, {a, -1}});
@@ -862,68 +834,10 @@ void CompressedStateSimulator::run_diagonal(const GateRouting& routing) {
   run_units(units, spec);
 }
 
-// --- Single-block unit executors ---
-
-bool CompressedStateSimulator::pipeline_ready() const {
-  return config_.enable_pipeline && pool_->size() >= 2 &&
-         scratch_->staging_buffers() > 0;
-}
-
-bool CompressedStateSimulator::unit_cache_probe(const UnitSpec& spec,
-                                                int rank, int block,
-                                                std::uint64_t* key_out) {
-  *key_out = 0;
-  runtime::BlockCache* cache =
-      config_.enable_cache ? caches_[rank].get() : nullptr;
-  if (cache == nullptr || !cache->enabled()) return false;
-  auto& store = ranks_[rank];
-  const std::uint64_t key = spec.make_key(rank, block);
-  *key_out = key;
-  Bytes out1;
-  Bytes out2;
-  std::uint8_t codec1 = compression::kLosslessCodecId;
-  if (!cache->lookup(key, out1, out2, &codec1)) return false;
-  store.set_block(block, std::move(out1),
-                  {static_cast<std::uint8_t>(spec.level), codec1});
-  maybe_stream_spill(rank, block);
-  // Keep the arbiter's hysteresis in step with the stored codec even
-  // though no decision ran — otherwise hit/miss interleavings would
-  // leak into later codec choices and break cross-thread determinism.
-  arbiter_->seed(global_block(rank, block),
-                 codec1 == compression::kLosslessCodecId);
-  spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
-  if (codec1 != compression::kLosslessCodecId) {
-    spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
-}
-
-void CompressedStateSimulator::unit_finish(const UnitSpec& spec, int rank,
-                                           int block, std::size_t worker,
-                                           std::span<double> amps,
-                                           std::uint64_t key) {
-  auto [compressed, meta] = encode_block(amps, spec.level, rank, block,
-                                         worker);
-  runtime::BlockCache* cache =
-      config_.enable_cache ? caches_[rank].get() : nullptr;
-  if (cache != nullptr && cache->enabled()) {
-    cache->insert(key, compressed, {}, meta.codec);
-  }
-  const bool lossy_write = meta.codec != compression::kLosslessCodecId;
-  ranks_[rank].set_block(block, std::move(compressed), meta);
-  maybe_stream_spill(rank, block);
-  spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
-  if (lossy_write) {
-    spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
-  }
-}
+// --- Single-block unit executor ---
 
 void CompressedStateSimulator::run_units(
     const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
-  if (pipeline_ready() && units.size() >= 2) {
-    run_units_pipelined(units, spec);
-    return;
-  }
   // Plan-driven readahead: the unit order IS the schedule, so advising
   // unit i+K while working unit i keeps spilled payloads arriving ahead
   // of their faults. The first window is primed before the sweep starts.
@@ -939,8 +853,33 @@ void CompressedStateSimulator::run_units(
       ranks_[ar].advise(ab);
     }
     const auto [rank, block] = units[i];
+    auto& store = ranks_[rank];
+    runtime::BlockCache* cache =
+        config_.enable_cache && caches_[rank]->enabled() ? caches_[rank].get()
+                                                         : nullptr;
     std::uint64_t key = 0;
-    if (unit_cache_probe(spec, rank, block, &key)) return;
+    if (cache != nullptr) {
+      key = spec.make_key(rank, block);
+      Bytes out1;
+      Bytes out2;
+      std::uint8_t codec1 = compression::kLosslessCodecId;
+      if (cache->lookup(key, out1, out2, &codec1)) {
+        store.set_block(block, std::move(out1),
+                        {static_cast<std::uint8_t>(spec.level), codec1});
+        maybe_stream_spill(rank, block);
+        // Keep the arbiter's hysteresis in step with the stored codec even
+        // though no decision ran — otherwise hit/miss interleavings would
+        // leak into later codec choices and break cross-thread
+        // determinism.
+        arbiter_->seed(global_block(rank, block),
+                       codec1 == compression::kLosslessCodecId);
+        spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
+        if (codec1 != compression::kLosslessCodecId) {
+          spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
+        }
+        return;
+      }
+    }
     auto vx = scratch_->vector_x(worker);
     decompress_block(rank, block, vx, worker);
     {
@@ -948,118 +887,16 @@ void CompressedStateSimulator::run_units(
       spec.compute(as_complex(vx), partition_.amplitudes_per_block(), rank,
                    block);
     }
-    unit_finish(spec, rank, block, worker, vx, key);
-  });
-}
-
-void CompressedStateSimulator::run_units_pipelined(
-    const std::vector<std::pair<int, int>>& units, const UnitSpec& spec) {
-  // Three overlapped stages on the shared pool: a block is decoded into a
-  // pooled staging buffer (prefetch), its kernels applied, and its
-  // recompression stored — with the handoff between decode and apply going
-  // through a bounded StageChannel. Every worker runs both roles: it
-  // prefers draining staged blocks (apply+recompress), decodes the next
-  // unit when a staging buffer is free, and only sleeps when neither is
-  // possible. That role-agnostic loop is what makes the executor
-  // deadlock-free: a worker holding the last staging buffer is by
-  // construction not blocked on the channel.
-  //
-  // Per-unit work is byte-identical to the sequential executor — only the
-  // assignment of units to workers and the buffer a block is decoded into
-  // change — so pipeline-on == pipeline-off bit-for-bit.
-  struct Staged {
-    std::size_t unit = 0;
-    int buffer = -1;
-    std::uint64_t key = 0;
-    std::size_t producer = 0;  ///< decoding worker (overlap accounting)
-  };
-  StageChannel<Staged> channel(scratch_->staging_buffers());
-  const std::size_t lookahead =
-      spill_ != nullptr ? static_cast<std::size_t>(config_.readahead_blocks)
-                        : 0;
-  for (std::size_t i = 0; i < std::min(lookahead, units.size()); ++i) {
-    ranks_[units[i].first].advise(units[i].second);
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::atomic<std::uint64_t> prefetched{0};
-  std::atomic<std::uint64_t> stalls{0};
-  const std::size_t total = units.size();
-
-  auto complete_one = [&] {
-    if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-      channel.close();  // wakes every sleeping worker: the run is done
-    }
-  };
-  auto apply_staged = [&](const Staged& staged, std::size_t worker) {
-    const auto [rank, block] = units[staged.unit];
-    if (staged.producer != worker) {
-      prefetched.fetch_add(1, std::memory_order_relaxed);
-    }
-    auto amps = scratch_->staging(staged.buffer);
-    {
-      ScopedPhase phase(worker_timers_[worker], Phase::kComputation);
-      spec.compute(as_complex(amps), partition_.amplitudes_per_block(), rank,
-                   block);
-    }
-    unit_finish(spec, rank, block, worker, amps, staged.key);
-    scratch_->release_staging(staged.buffer);
-    complete_one();
-  };
-
-  pool_->parallel_for(pool_->size(), [&](std::size_t, std::size_t worker) {
-    try {
-      while (true) {
-        Staged staged;
-        if (channel.try_pop(staged)) {  // apply stage first: drain handoffs
-          apply_staged(staged, worker);
-          continue;
-        }
-        const int buffer = scratch_->acquire_staging();
-        if (buffer >= 0) {  // decode stage: prefetch the next unit
-          const std::size_t u =
-              next.fetch_add(1, std::memory_order_relaxed);
-          if (u < total) {
-            // The decode stage is the plan cursor: claiming unit u advises
-            // unit u+K so readahead tracks the pipeline's actual pace.
-            if (lookahead > 0 && u + lookahead < total) {
-              const auto [ar, ab] = units[u + lookahead];
-              ranks_[ar].advise(ab);
-            }
-            const auto [rank, block] = units[u];
-            Staged fresh{u, buffer, 0, worker};
-            if (unit_cache_probe(spec, rank, block, &fresh.key)) {
-              scratch_->release_staging(buffer);
-              complete_one();
-            } else {
-              decompress_block(rank, block, scratch_->staging(buffer),
-                               worker);
-              if (!channel.push(fresh)) {
-                // Channel closed early (a peer threw): drop out.
-                scratch_->release_staging(buffer);
-                return;
-              }
-            }
-            continue;
-          }
-          scratch_->release_staging(buffer);
-        }
-        // Neither staged work nor a free buffer: wait on in-flight units.
-        bool waited = false;
-        auto item = channel.pop(&waited);
-        if (!item.has_value()) return;  // closed and drained
-        if (waited) stalls.fetch_add(1, std::memory_order_relaxed);
-        apply_staged(*item, worker);
-      }
-    } catch (...) {
-      channel.close();  // unblock peers so the pool can drain, then rethrow
-      throw;
+    auto [compressed, meta] =
+        encode_block(vx, spec.level, rank, block, worker);
+    if (cache != nullptr) cache->insert(key, compressed, {}, meta.codec);
+    store.set_block(block, std::move(compressed), meta);
+    maybe_stream_spill(rank, block);
+    spec.blocks_compressed->fetch_add(1, std::memory_order_relaxed);
+    if (meta.codec != compression::kLosslessCodecId) {
+      spec.blocks_lossy->fetch_add(1, std::memory_order_relaxed);
     }
   });
-
-  pipeline_blocks_ += total;
-  pipeline_prefetched_ += prefetched.load(std::memory_order_relaxed);
-  pipeline_stalls_ += stalls.load(std::memory_order_relaxed);
 }
 
 CompressedStateSimulator::RunPlan CompressedStateSimulator::build_run_plan(
@@ -1106,7 +943,7 @@ void CompressedStateSimulator::apply_run(const qsim::Circuit& circuit,
                                          const qsim::GateRun& run) {
   const RunPlan plan = build_run_plan(circuit, run);
   // The scheduler already knows the full future block order of the run —
-  // that is exactly the prefetch list the pipelined executor feeds on.
+  // the same list the spill tier's readahead advises from.
   const std::vector<std::pair<int, int>> units = qsim::run_block_order(
       partition_.num_ranks(), partition_.blocks_per_rank());
   UnitSpec spec;
@@ -1181,8 +1018,7 @@ void CompressedStateSimulator::process_pair(const GateRouting& routing,
                         {static_cast<std::uint8_t>(routing.level), codec2});
       maybe_stream_spill(rank_a, block_a);
       maybe_stream_spill(rank_b, block_b);
-      // See unit_cache_probe: hysteresis must track the stored codec on
-      // hits.
+      // See run_units: hysteresis must track the stored codec on hits.
       arbiter_->seed(global_block(rank_a, block_a),
                      codec1 == compression::kLosslessCodecId);
       arbiter_->seed(global_block(rank_b, block_b),
@@ -2000,11 +1836,6 @@ SimulationReport CompressedStateSimulator::report() const {
       remap_sweeps_avoided_ *
       (static_cast<std::uint64_t>(partition_.num_ranks()) / 2 *
        partition_.blocks_per_rank());
-  rep.pipeline_enabled = pipeline_ready();
-  rep.pipeline_depth = static_cast<int>(scratch_->staging_buffers());
-  rep.pipeline_blocks = pipeline_blocks_;
-  rep.pipeline_prefetched = pipeline_prefetched_;
-  rep.pipeline_stalls = pipeline_stalls_;
   rep.simd_kernel = qsim::kernel_backend_name(backend_);
   rep.spill_enabled = spill_ != nullptr;
   rep.resident_budget_bytes = config_.resident_budget_bytes;

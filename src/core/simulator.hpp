@@ -221,12 +221,12 @@ class CompressedStateSimulator {
   /// One chunk of run_from_cursor: applies ops [gate_cursor_, end) —
   /// through the qubit-remap pre-pass whenever remapping is on or the
   /// layout is already non-identity — batched through the gate-run
-  /// scheduler when enabled, advancing the cursor in source-gate units.
+  /// scheduler, advancing the cursor in source-gate units.
   void run_source_range(const qsim::Circuit& circuit, std::size_t end);
-  /// Applies one contiguous stretch of already-physical ops, batched or
-  /// per-gate, advancing the cursor. `origin_counts` carries per-op
-  /// source-gate weights when the ops were fused before planning (null =
-  /// every op weighs 1 and the scheduler may fuse internally).
+  /// Applies one contiguous stretch of already-physical ops through the
+  /// gate-run scheduler, advancing the cursor. `origin_counts` carries
+  /// per-op source-gate weights when the ops were fused before planning
+  /// (null = every op weighs 1 and the scheduler may fuse internally).
   void run_segment(const qsim::Circuit& segment,
                    const std::vector<std::size_t>* origin_counts = nullptr);
   /// One physical exchange sweep trading a rank-segment position for an
@@ -246,27 +246,12 @@ class CompressedStateSimulator {
   void process_pair(const GateRouting& routing, int rank_a, int block_a,
                     int rank_b, int block_b, std::size_t worker);
 
-  // --- Single-block unit executors (sequential + pipelined) ---
+  // --- Single-block unit executor ---
 
-  /// True when the overlapped pipeline can engage: knob on, >= 2 workers,
-  /// staging buffers allocated.
-  bool pipeline_ready() const;
-  /// Cache probe of one unit. On a hit the stored block is replaced from
-  /// the cache and counters bumped (the unit is fully handled); on a miss
-  /// the key (0 when the cache is off) is reported for the later insert.
-  bool unit_cache_probe(const UnitSpec& spec, int rank, int block,
-                        std::uint64_t* key_out);
-  /// Recompress + cache-insert + store + counters tail of one unit.
-  void unit_finish(const UnitSpec& spec, int rank, int block,
-                   std::size_t worker, std::span<double> amps,
-                   std::uint64_t key);
-  /// Runs every (rank, block) unit: decompress, spec.compute, recompress.
-  /// Dispatches to the overlapped pipeline when it can engage, else a
-  /// plain parallel_for. Bit-identical either way.
+  /// Runs every (rank, block) unit on the pool: cache probe, then
+  /// decompress, spec.compute, recompress, cache insert and store.
   void run_units(const std::vector<std::pair<int, int>>& units,
                  const UnitSpec& spec);
-  void run_units_pipelined(const std::vector<std::pair<int, int>>& units,
-                           const UnitSpec& spec);
   void run_diagonal(const GateRouting& routing);
   void run_offset_target(const GateRouting& routing);
   void run_block_target(const GateRouting& routing);
@@ -360,11 +345,6 @@ class CompressedStateSimulator {
   /// Kernel backend the apply loops dispatch to (detected once at
   /// construction from config_.enable_simd_kernels and the host CPU).
   qsim::KernelBackend backend_ = qsim::KernelBackend::kScalar;
-
-  // Overlapped-pipeline accounting (bumped between parallel regions only).
-  std::uint64_t pipeline_blocks_ = 0;
-  std::uint64_t pipeline_prefetched_ = 0;
-  std::uint64_t pipeline_stalls_ = 0;
 
   // Qubit remapping (logical->physical relabeling).
   runtime::QubitMap map_;

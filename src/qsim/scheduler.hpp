@@ -80,10 +80,10 @@ class Schedule {
 };
 
 /// The future block order of one block-local run: every (rank, block)
-/// unit the run will touch, in the deterministic order the pipeline's
-/// prefetch stage decodes them. Block-local runs touch every block of
-/// every rank exactly once, rank-major — this is what lets the scheduler
-/// feed the double-buffered pipeline its prefetch list up front.
+/// unit the run will touch, in the order the executor hands them out.
+/// Block-local runs touch every block of every rank exactly once,
+/// rank-major — this is what lets the spill tier's readahead advise
+/// upcoming blocks before the executor reaches them.
 std::vector<std::pair<int, int>> run_block_order(int num_ranks,
                                                  int blocks_per_rank);
 

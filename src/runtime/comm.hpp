@@ -6,8 +6,8 @@
 // Figure 16 scaling study read these counters.
 //
 // The begin/wait split mirrors MPI_Isend/MPI_Wait: exchange_begin puts
-// both payloads on the wire and returns, the caller overlaps codec or
-// pipeline work, then exchange_wait collects the received payloads. The
+// both payloads on the wire and returns, the caller decodes its own block
+// meanwhile, then exchange_wait collects the received payloads. The
 // gap between begin returning and wait being called is credited as
 // overlap time, so the report can state how much wire latency the sweep
 // hid behind useful work.
@@ -32,7 +32,7 @@ struct CommStats {
   /// Nanoseconds spent blocked on the wire (begin + wait calls).
   std::uint64_t wire_nanos = 0;
   /// Nanoseconds of useful work between begin returning and wait being
-  /// called — wire latency hidden behind codec/pipeline work.
+  /// called — wire latency hidden behind codec work.
   std::uint64_t overlap_nanos = 0;
 
   double seconds() const { return static_cast<double>(wire_nanos) * 1e-9; }

@@ -99,10 +99,21 @@ void write_codes(Bytes& inner, std::span<const std::uint32_t> codes,
 }
 
 /// Reads the sections written by write_codes into the scratch vectors.
+/// Both counts are untrusted and checked before anything is sized by them:
+/// the code count must equal `count` and fit in the bits left (every
+/// Huffman code is at least one bit long), and the outlier count must fit
+/// in the bytes left.
 void read_codes(ByteSpan inner, std::size_t& offset, std::uint32_t bins,
-                compression::CodecScratch& scratch) {
+                std::uint64_t count, compression::CodecScratch& scratch) {
   scratch.huff_decoder.parse_table(inner, offset, bins);
   const std::uint64_t code_count = get_varint(inner, offset);
+  if (code_count != count) {
+    throw std::runtime_error("sz: code count mismatch");
+  }
+  if (code_count / 8 + (code_count % 8 != 0 ? 1 : 0) >
+      inner.size() - offset) {
+    throw std::runtime_error("sz: code stream truncated");
+  }
   auto& codes = scratch.quant_codes;
   codes.resize(code_count);
   {
@@ -113,6 +124,9 @@ void read_codes(ByteSpan inner, std::size_t& offset, std::uint32_t bins,
     offset += (reader.position() + 7) / 8;
   }
   const std::uint64_t outlier_count = get_varint(inner, offset);
+  if (outlier_count > (inner.size() - offset) / sizeof(double)) {
+    throw std::runtime_error("sz: outlier stream truncated");
+  }
   auto& outliers = scratch.outliers;
   outliers.resize(outlier_count);
   for (std::uint64_t i = 0; i < outlier_count; ++i) {
@@ -227,13 +241,20 @@ void SzCodec::decompress(ByteSpan compressed, std::span<double> out,
     throw std::runtime_error("sz: output size mismatch");
   }
 
-  Bytes& inner = scratch.inner;
-  lossless::zx_decompress_into(compressed.subspan(offset), scratch.zx, inner);
-  std::size_t pos = 0;
-  read_codes(inner, pos, bins, scratch);
-  if (scratch.quant_codes.size() != count) {
-    throw std::runtime_error("sz: code count mismatch");
+  // The inner stream's size is untrusted too. Bound it by the most that
+  // `count` elements can emit before zx sizes its output by it: a Huffman
+  // table of at most 2^16 four-byte entries, then at most 20 bytes per
+  // element (a 3-byte code, an 8-byte outlier, two mask bits and an 8-byte
+  // special value).
+  const ByteSpan packed = compressed.subspan(offset);
+  if (lossless::zx_original_size(packed) >
+      20 * count + (std::uint64_t{1} << 19)) {
+    throw std::runtime_error("sz: inner stream larger than its elements");
   }
+  Bytes& inner = scratch.inner;
+  lossless::zx_decompress_into(packed, scratch.zx, inner);
+  std::size_t pos = 0;
+  read_codes(inner, pos, bins, count, scratch);
 
   if (!relative) {
     dequantize(scratch.quant_codes, scratch.outliers, quantum, bins, chains,
@@ -246,9 +267,12 @@ void SzCodec::decompress(ByteSpan compressed, std::span<double> out,
              logs);
   auto& negative = scratch.mask_a;
   auto& special = scratch.mask_b;
-  read_bitmask(inner, pos, negative);
-  read_bitmask(inner, pos, special);
+  read_bitmask(inner, pos, negative, out.size());
+  read_bitmask(inner, pos, special, out.size());
   const std::uint64_t special_count = get_varint(inner, pos);
+  if (special_count > (inner.size() - pos) / sizeof(double)) {
+    throw std::runtime_error("sz: special stream truncated");
+  }
   auto& special_values = scratch.special_values;
   special_values.resize(special_count);
   for (std::uint64_t i = 0; i < special_count; ++i) {

@@ -578,9 +578,12 @@ void ZfpCodec::decompress(ByteSpan compressed, std::span<double> out,
   std::size_t pos = 0;
   auto& negative = scratch.mask_a;
   auto& special = scratch.mask_b;
-  read_bitmask(sides, pos, negative);
-  read_bitmask(sides, pos, special);
+  read_bitmask(sides, pos, negative, out.size());
+  read_bitmask(sides, pos, special, out.size());
   const std::uint64_t special_count = get_varint(sides, pos);
+  if (special_count > (sides.size() - pos) / sizeof(double)) {
+    throw std::runtime_error("zfp: special stream truncated");
+  }
   auto& special_values = scratch.special_values;
   special_values.resize(special_count);
   for (std::uint64_t i = 0; i < special_count; ++i) {

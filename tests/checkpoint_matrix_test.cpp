@@ -219,10 +219,12 @@ TEST_F(CheckpointMatrixTest, SplitAdaptiveRunMatchesUninterruptedRun) {
   const auto circuit = circuits::grover_circuit(
       {.data_qubits = 6, .marked_state = 0b110011, .iterations = 2});
   SimConfig config = mixed_config(circuit.num_qubits());
-  // Per-gate mode: batched runs may not span the save point, so the
-  // batched split run would legitimately recompress at different points
-  // than the uninterrupted one; gate-by-gate the two are bit-comparable.
-  config.enable_run_batching = false;
+  // Per-gate runs (one gate per run, no fusion): batched runs may not
+  // span the save point, so the batched split run would legitimately
+  // recompress at different points than the uninterrupted one; gate-by-
+  // gate the two are bit-comparable.
+  config.max_run_length = 1;
+  config.enable_fusion_prepass = false;
 
   CompressedStateSimulator full{config};
   full.apply_circuit(circuit);
@@ -307,9 +309,9 @@ TEST_F(CheckpointMatrixTest, SplitRemappedRunMatchesUninterruptedRun) {
   const auto circuit = circuits::qft_circuit({.num_qubits = 8});
   SimConfig config = matrix_config(8);
   config.enable_qubit_remap = true;
-  // Per-gate mode, as in SplitAdaptiveRunMatchesUninterruptedRun: batched
+  // Per-gate runs, as in SplitAdaptiveRunMatchesUninterruptedRun: batched
   // runs may not span the save point.
-  config.enable_run_batching = false;
+  config.max_run_length = 1;
   config.enable_fusion_prepass = false;
 
   CompressedStateSimulator full{config};

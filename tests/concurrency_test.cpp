@@ -4,6 +4,7 @@
 // compression is deterministic and blocks are independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -11,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "circuits/grover.hpp"
+#include "circuits/phase_estimation.hpp"
 #include "circuits/qaoa.hpp"
 #include "circuits/qft.hpp"
 #include "circuits/supremacy.hpp"
@@ -108,7 +111,7 @@ TEST(ConcurrencyTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-using test::random_circuit;  // shared with the pipeline suite (test_util)
+using test::random_circuit;  // shared harness (test_util)
 
 /// The deterministic subset of a report: everything except wall-clock
 /// times and cache-interleaving artifacts (hit/miss split, compress-call
@@ -366,54 +369,44 @@ TEST(ConcurrencyTest, RemappedLossyRunsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ConcurrencyTest, PipelineStressUnderCacheThrashAndLadderEscalation) {
-  // Worst-case pipeline conditions at once: a cache small enough to LRU-
-  // thrash (so probe/insert interleave with staging), a budget tight
-  // enough to force ladder escalation between pipelined gates, and depth 3
-  // so several blocks are in flight. States and the deterministic report
-  // fields must still be identical across thread counts and to the
-  // sequential path.
+TEST(ConcurrencyTest, CacheThrashAndLadderEscalationIdenticalAcrossThreads) {
+  // Worst-case executor conditions at once: a cache small enough to LRU-
+  // thrash (so probes and inserts interleave across workers) and a budget
+  // tight enough to force ladder escalation between gates. States and the
+  // deterministic report fields must still be identical across thread
+  // counts.
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
   const auto circuit = random_circuit(10, 70, 57);
   std::vector<double> reference;
   DeterministicReport reference_report{};
-  bool have_reference = false;
-  for (const bool pipeline : {false, true}) {
-    for (int threads : {1, 2, hw}) {
-      core::SimConfig config;
-      config.num_qubits = 10;
-      config.num_ranks = 2;
-      config.blocks_per_rank = 8;
-      config.threads = threads;
-      config.codec_policy = "adaptive";
-      config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
-      config.cache_lines = 4;                 // guaranteed LRU thrash
-      config.enable_pipeline = pipeline;
-      config.pipeline_depth = 3;
-      core::CompressedStateSimulator sim(config);
-      sim.apply_circuit(circuit);
-      const auto report = deterministic_fields(sim.report());
-      const auto raw = sim.to_raw();
-      if (!have_reference) {
-        reference = raw;
-        reference_report = report;
-        have_reference = true;
-      } else {
-        CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0)
-            << "pipeline=" << pipeline << " threads=" << threads;
-        EXPECT_EQ(report, reference_report)
-            << "pipeline=" << pipeline << " threads=" << threads;
-      }
+  for (int threads : {1, 2, hw}) {
+    core::SimConfig config;
+    config.num_qubits = 10;
+    config.num_ranks = 2;
+    config.blocks_per_rank = 8;
+    config.threads = threads;
+    config.codec_policy = "adaptive";
+    config.memory_budget_bytes = 6 * 1024;  // forces escalation mid-run
+    config.cache_lines = 4;                 // guaranteed LRU thrash
+    core::CompressedStateSimulator sim(config);
+    sim.apply_circuit(circuit);
+    const auto report = deterministic_fields(sim.report());
+    const auto raw = sim.to_raw();
+    if (reference.empty()) {
+      reference = raw;
+      reference_report = report;
+    } else {
+      CQS_EXPECT_STATES_CLOSE(raw, reference, 0.0) << "threads=" << threads;
+      EXPECT_EQ(report, reference_report) << "threads=" << threads;
     }
   }
 }
 
-TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
-  // save_checkpoint while the pipeline has been running must observe a
-  // fully drained executor (every staged block recompressed and stored):
-  // resuming the checkpoint and finishing the circuit must be bit-identical
-  // to the uninterrupted run, pipelined or not.
+TEST(ConcurrencyTest, CheckpointMidCircuitAtTwoWorkersResumesBitIdentical) {
+  // save_checkpoint between parallel sweeps must observe every block
+  // recompressed and stored: resuming the checkpoint and finishing the
+  // circuit must be bit-identical to the uninterrupted run.
   const auto circuit = random_circuit(10, 60, 71);
   const std::uint64_t half = circuit.ops().size() / 2;
 
@@ -422,8 +415,6 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
   config.num_ranks = 2;
   config.blocks_per_rank = 8;
   config.threads = 2;
-  config.enable_pipeline = true;
-  config.pipeline_depth = 3;
 
   // Both runs go through the per-gate apply path (apply_circuit's fusion
   // pre-pass composes matrices and would be a different — equally valid —
@@ -433,7 +424,7 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
   const auto reference = full.to_raw();
 
   const auto dir = std::filesystem::temp_directory_path() /
-                   "cqs_ConcurrencyTest_PipelineCheckpoint";
+                   "cqs_ConcurrencyTest_MidCircuitCheckpoint";
   std::filesystem::create_directories(dir);
   const std::string file = (dir / "mid.bin").string();
 
@@ -452,6 +443,66 @@ TEST(ConcurrencyTest, CheckpointMidCircuitDrainsPipelineStages) {
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+}
+
+TEST(ConcurrencyTest, WorkloadMatrixBitIdenticalAcrossThreadCounts) {
+  // The five paper workloads x ranks {1, 2, 4} x threads {1, 2, hw} x
+  // {batched, per-gate} x {fixed, adaptive} at lossy level 2: every
+  // thread count must reproduce the 1-thread state, tol = 0. The per-gate
+  // leg is the run configuration max_run_length = 1 with fusion off.
+  struct Workload {
+    std::string name;
+    qsim::Circuit circuit;
+  };
+  const std::vector<Workload> workloads = {
+      {"qft", circuits::qft_circuit({.num_qubits = 10})},
+      {"grover", circuits::grover_circuit({.data_qubits = 4,
+                                           .marked_state = 9,
+                                           .iterations = 2})},
+      {"qaoa", circuits::qaoa_maxcut_circuit({.num_qubits = 10})},
+      {"phase-estimation",
+       circuits::phase_estimation_circuit(
+           {.counting_qubits = 8, .phase = 0.3125})},
+      {"supremacy",
+       circuits::supremacy_circuit({.rows = 3, .cols = 3, .depth = 5})},
+  };
+  const int hw = static_cast<int>(
+      std::max(2u, std::thread::hardware_concurrency()));
+  std::vector<int> thread_counts = {2, hw};
+  thread_counts.erase(
+      std::unique(thread_counts.begin(), thread_counts.end()),
+      thread_counts.end());
+  for (const auto& [name, circuit] : workloads) {
+    for (int ranks : {1, 2, 4}) {
+      for (bool batched : {true, false}) {
+        for (const std::string policy : {"fixed", "adaptive"}) {
+          core::SimConfig config;
+          config.num_qubits = circuit.num_qubits();
+          config.num_ranks = ranks;
+          config.blocks_per_rank = std::max(4, 32 / ranks);
+          if (!batched) {
+            config.max_run_length = 1;
+            config.enable_fusion_prepass = false;
+          }
+          config.codec_policy = policy;
+          config.threads = 1;
+          config.initial_level = 2;  // lossy: identity must still hold
+          core::CompressedStateSimulator reference_sim(config);
+          reference_sim.apply_circuit(circuit);
+          const auto reference = reference_sim.to_raw();
+
+          for (int threads : thread_counts) {
+            config.threads = threads;
+            core::CompressedStateSimulator sim(config);
+            sim.apply_circuit(circuit);
+            CQS_EXPECT_STATES_CLOSE(sim.to_raw(), reference, 0.0)
+                << name << " ranks=" << ranks << " batched=" << batched
+                << " policy=" << policy << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "alloc_hook.hpp"
+#include "common/bits.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "compression/codec_scratch.hpp"
@@ -188,6 +189,138 @@ TEST(ZxCorruptionTest, HugeHuffmanTokenCountRejected) {
     container.resize(container.size() + 64, std::byte{0x5a});
     expect_bounded_failure(container);
   }
+}
+
+// Relative-mode sz containers around hand-built inner streams: the side
+// channel masks and every count are untrusted, so a mask whose length is
+// not the element count, or a count larger than the bytes left, must fail
+// with std::runtime_error before anything is sized by it.
+constexpr std::uint64_t kSzCount = 64;
+constexpr std::uint32_t kSzBins = 256;
+
+/// Outer sz header (relative flag) around `inner` compressed by zx.
+Bytes sz_container(const Bytes& inner) {
+  Bytes c{std::byte{'S'}, std::byte{'Z'}, std::byte{2}};
+  put_varint(c, kSzCount);
+  put_varint(c, kSzBins);
+  put_scalar(c, 0.01);
+  lossless::ZxScratch zx;
+  lossless::zx_compress_into(inner, {}, zx, c);
+  return c;
+}
+
+/// The inner stream's code section: a two-symbol Huffman table,
+/// `code_count` as the stored count, kSzCount one-bit codes, and
+/// `outlier_count` as the stored outlier count with no outliers after it.
+Bytes sz_codes(std::uint64_t code_count, std::uint64_t outlier_count) {
+  std::vector<std::uint64_t> counts(kSzBins, 0);
+  counts[128] = 3;
+  counts[129] = 1;
+  const auto encoder = lossless::HuffmanEncoder::from_counts(counts);
+  Bytes inner;
+  encoder.write_table(inner);
+  put_varint(inner, code_count);
+  {
+    BitWriter writer(inner);
+    for (std::uint64_t i = 0; i < kSzCount; ++i) encoder.encode(writer, 128);
+  }
+  put_varint(inner, outlier_count);
+  return inner;
+}
+
+void expect_bounded_sz_failure(const Bytes& inner) {
+  const auto codec = compression::make_compressor("sz");
+  const Bytes container = sz_container(inner);
+  compression::CodecScratch scratch;
+  std::vector<double> out(kSzCount);
+  const test::AllocationStats stats = test::measure_allocations([&] {
+    EXPECT_THROW(codec->decompress(container, out, scratch),
+                 std::runtime_error);
+  });
+  EXPECT_LT(stats.largest, kSaneAllocation);
+}
+
+TEST(SzCorruptionTest, EmptyMaskRejected) {
+  Bytes inner = sz_codes(kSzCount, 0);
+  put_varint(inner, 0);  // sign mask of no elements
+  put_varint(inner, 0);  // special mask of no elements
+  put_varint(inner, 0);  // no special values
+  expect_bounded_sz_failure(inner);
+}
+
+TEST(SzCorruptionTest, HugeMaskLengthRejected) {
+  Bytes inner = sz_codes(kSzCount, 0);
+  put_varint(inner, kHuge);  // sign mask
+  inner.resize(inner.size() + 64, std::byte{0});
+  expect_bounded_sz_failure(inner);
+}
+
+TEST(SzCorruptionTest, HugeCodeCountRejected) {
+  Bytes inner = sz_codes(kHuge, 0);
+  inner.resize(inner.size() + 64, std::byte{0});
+  expect_bounded_sz_failure(inner);
+}
+
+TEST(SzCorruptionTest, HugeOutlierCountRejected) {
+  Bytes inner = sz_codes(kSzCount, kHuge);
+  inner.resize(inner.size() + 64, std::byte{0});
+  expect_bounded_sz_failure(inner);
+}
+
+TEST(SzCorruptionTest, HugeSpecialCountRejected) {
+  Bytes inner = sz_codes(kSzCount, 0);
+  const std::vector<bool> mask(kSzCount, false);
+  write_bitmask(inner, mask);  // signs
+  write_bitmask(inner, mask);  // no special values
+  put_varint(inner, kHuge);    // special value count
+  inner.resize(inner.size() + 64, std::byte{0});
+  expect_bounded_sz_failure(inner);
+}
+
+TEST(SzCorruptionTest, HugeInnerStreamSizeRejected) {
+  // The inner zx header claims 2^40 bytes, far more than any inner
+  // stream of kSzCount elements can hold.
+  Bytes container{std::byte{'S'}, std::byte{'Z'}, std::byte{2}};
+  put_varint(container, kSzCount);
+  put_varint(container, kSzBins);
+  put_scalar(container, 0.01);
+  const Bytes inner = zx_header(2, kHuge);
+  container.insert(container.end(), inner.begin(), inner.end());
+  put_varint(container, 0);  // a token stream that would end at once
+  put_varint(container, 0);
+  const auto codec = compression::make_compressor("sz");
+  compression::CodecScratch scratch;
+  std::vector<double> out(kSzCount);
+  const test::AllocationStats stats = test::measure_allocations([&] {
+    EXPECT_THROW(codec->decompress(container, out, scratch),
+                 std::runtime_error);
+  });
+  EXPECT_LT(stats.largest, kSaneAllocation);
+}
+
+TEST(ZfpCorruptionTest, EmptyMaskRejected) {
+  // zfp's relative mode shares the side-channel format: keep a real
+  // container's log-magnitude blob and replace its side channel.
+  const auto codec = compression::make_compressor("zfp");
+  std::vector<double> data(kSzCount, 0.5);
+  const Bytes original =
+      codec->compress(data, compression::ErrorBound::relative(1e-3));
+  std::size_t offset = 3;
+  get_varint(original, offset);  // element count
+  const std::uint64_t inner_size = get_varint(original, offset);
+  Bytes container(original.begin(),
+                  original.begin() + static_cast<std::ptrdiff_t>(
+                                         offset + inner_size));
+  Bytes sides;
+  put_varint(sides, 0);  // sign mask of no elements
+  put_varint(sides, 0);  // special mask of no elements
+  put_varint(sides, 0);  // no special values
+  lossless::ZxScratch zx;
+  lossless::zx_compress_into(sides, {}, zx, container);
+
+  compression::CodecScratch scratch;
+  EXPECT_THROW(codec->decompress(container, data, scratch),
+               std::runtime_error);
 }
 
 using CheckpointCorruptionTest = test::TempDirFixture;

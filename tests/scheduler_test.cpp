@@ -158,7 +158,6 @@ SimConfig batched_config(int qubits, int ranks = 4, int blocks = 4) {
   config.num_ranks = ranks;
   config.blocks_per_rank = blocks;
   config.threads = 4;
-  config.enable_run_batching = true;
   return config;
 }
 
@@ -194,13 +193,14 @@ TEST(BatchedSimulatorTest, BatchedAndPerGatePathsAgree) {
   const Circuit c = all_segment_circuit();
   auto on = batched_config(10, 4, 8);
   auto off = on;
-  off.enable_run_batching = false;
+  off.max_run_length = 1;  // the per-gate baseline: one gate per run
+  off.enable_fusion_prepass = false;
   CompressedStateSimulator batched(on);
   CompressedStateSimulator per_gate(off);
   batched.apply_circuit(c);
   per_gate.apply_circuit(c);
   CQS_EXPECT_STATES_CLOSE(batched.to_raw(), per_gate.to_raw(), 1e-12);
-  EXPECT_EQ(per_gate.report().batched_runs, 0u);
+  EXPECT_EQ(per_gate.report().batched_gates, per_gate.report().batched_runs);
   EXPECT_LT(batched.report().compress_invocations,
             per_gate.report().compress_invocations)
       << "batching must amortize codec passes";
@@ -222,13 +222,44 @@ TEST(BatchedSimulatorTest, KGateRunRecordsExactlyOneLossyPass) {
   EXPECT_EQ(report.lossy_passes, 1u);
   EXPECT_DOUBLE_EQ(sim.fidelity_bound(), 1.0 - 1e-4);
 
-  // The per-gate path on the same circuit pays one pass per gate.
+  // The per-gate baseline on the same circuit pays one pass per gate.
   auto per_gate_config = config;
-  per_gate_config.enable_run_batching = false;
+  per_gate_config.max_run_length = 1;
+  per_gate_config.enable_fusion_prepass = false;
   CompressedStateSimulator per_gate(per_gate_config);
   per_gate.apply_circuit(c);
   EXPECT_EQ(per_gate.report().lossy_passes, c.size());
   EXPECT_LT(per_gate.fidelity_bound(), sim.fidelity_bound());
+}
+
+TEST(BatchedSimulatorTest, LossyPassRuleChargesOnePassPerCodecSweep) {
+  // The Eq. 11 pass rule of core/config.hpp: one lossy pass per codec
+  // sweep that wrote a lossy block. A block-local SWAP rides one run
+  // sweep and costs 1 pass; a SWAP whose target is in the block segment
+  // runs as three CX sweeps and costs 3. The per-gate baseline follows
+  // the same rule.
+  for (const bool per_gate : {false, true}) {
+    auto config = batched_config(10, 4, 8);  // offset 5, block 3, rank 2
+    config.initial_level = 2;  // fixed policy: every write is lossy
+    if (per_gate) {
+      config.max_run_length = 1;
+      config.enable_fusion_prepass = false;
+    }
+    Circuit local(10);
+    local.swap(1, 3);
+    CompressedStateSimulator local_sim(config);
+    local_sim.apply_circuit(local);
+    EXPECT_EQ(local_sim.report().lossy_passes, 1u) << "per_gate=" << per_gate;
+
+    Circuit block_target(10);
+    block_target.swap(6, 1);
+    CompressedStateSimulator block_sim(config);
+    block_sim.apply_circuit(block_target);
+    EXPECT_EQ(block_sim.report().lossy_passes, 3u) << "per_gate=" << per_gate;
+    const double keep = 1.0 - 1e-4;  // ladder[1]
+    EXPECT_DOUBLE_EQ(block_sim.fidelity_bound(), keep * keep * keep)
+        << "per_gate=" << per_gate;
+  }
 }
 
 TEST(BatchedSimulatorTest, MemoryBudgetCapsRunLengthForEscalation) {

@@ -407,7 +407,7 @@ TEST(QubitRemapTest, RemapMatchesSeedPerGatePathAndLruPolicy) {
   // batched ones.
   for (auto& test_case : remap_cases()) {
     SimConfig seed = small_config(test_case.circuit.num_qubits());
-    seed.enable_run_batching = false;  // the pre-PR2 per-gate path
+    seed.max_run_length = 1;  // the per-gate baseline: one gate per run
     seed.enable_fusion_prepass = false;
     CompressedStateSimulator per_gate_reference(seed);
     per_gate_reference.apply_circuit(test_case.circuit);
@@ -423,8 +423,10 @@ TEST(QubitRemapTest, RemapMatchesSeedPerGatePathAndLruPolicy) {
         SimConfig on = small_config(test_case.circuit.num_qubits());
         on.enable_qubit_remap = true;
         on.remap_policy = policy;
-        on.enable_run_batching = batching;
-        if (!batching) on.enable_fusion_prepass = false;
+        if (!batching) {
+          on.max_run_length = 1;
+          on.enable_fusion_prepass = false;
+        }
         CompressedStateSimulator sim(on);
         sim.apply_circuit(test_case.circuit);
         CQS_EXPECT_STATES_CLOSE(

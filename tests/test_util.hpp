@@ -24,7 +24,7 @@ namespace cqs::test {
 /// Randomized circuit over all three partition segments: single-qubit
 /// gates (including parameterized rotations), controlled pairs, SWAPs,
 /// and Toffolis on uniformly drawn qubits. Deterministic in `seed`.
-/// Shared by the concurrency and pipeline differential/fuzz suites.
+/// Shared by the differential and fuzz suites.
 inline qsim::Circuit random_circuit(int qubits, std::size_t gates,
                                     std::uint64_t seed) {
   Rng rng(seed);

@@ -1,19 +1,12 @@
-// ThreadPool and StageChannel contracts the pipeline leans on: every index
-// runs exactly once under any worker count, worker ids are dense and in
-// range, exceptions propagate to the caller (instead of terminating),
-// nested parallel_for runs inline, and the bounded channel's
-// close/drain/stall semantics hold under contention.
+// ThreadPool contracts the block executor leans on: every index runs
+// exactly once under any worker count, worker ids are dense and in range,
+// exceptions propagate to the caller (instead of terminating), and nested
+// parallel_for runs inline.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <mutex>
-#include <optional>
-#include <set>
 #include <stdexcept>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -100,125 +93,6 @@ TEST(ThreadPoolTest, NestedExceptionPropagatesThroughBothLevels) {
   std::atomic<int> after{0};
   pool.parallel_for(10, [&](std::size_t, std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 10);
-}
-
-TEST(StageChannelTest, FifoOrderAndCapacity) {
-  StageChannel<int> channel(3);
-  EXPECT_EQ(channel.capacity(), 3u);
-  EXPECT_TRUE(channel.push(1));
-  EXPECT_TRUE(channel.push(2));
-  EXPECT_TRUE(channel.push(3));
-  int out = 0;
-  EXPECT_TRUE(channel.try_pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(channel.try_pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(channel.try_pop(out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(channel.try_pop(out));
-  // Zero capacity is clamped to one so a lone producer can always hand off.
-  StageChannel<int> tiny(0);
-  EXPECT_EQ(tiny.capacity(), 1u);
-}
-
-TEST(StageChannelTest, PopReportsWhetherItSlept) {
-  StageChannel<int> channel(2);
-  ASSERT_TRUE(channel.push(7));
-  bool waited = true;
-  auto item = channel.pop(&waited);
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 7);
-  EXPECT_FALSE(waited);  // an item was ready: no stall
-
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    channel.push(8);
-  });
-  item = channel.pop(&waited);
-  producer.join();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 8);
-  EXPECT_TRUE(waited);  // the consumer arrived first: that is a stall
-}
-
-TEST(StageChannelTest, CloseDrainsThenStops) {
-  StageChannel<int> channel(4);
-  ASSERT_TRUE(channel.push(1));
-  ASSERT_TRUE(channel.push(2));
-  channel.close();
-  EXPECT_TRUE(channel.closed());
-  EXPECT_FALSE(channel.push(3));  // pending pushes fail after close
-  auto a = channel.pop();
-  auto b = channel.pop();
-  auto end = channel.pop();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, 1);
-  EXPECT_EQ(*b, 2);
-  EXPECT_FALSE(end.has_value());  // closed and drained
-}
-
-TEST(StageChannelTest, CloseWakesBlockedConsumers) {
-  StageChannel<int> channel(1);
-  std::atomic<int> finished{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      while (channel.pop().has_value()) {
-      }
-      ++finished;
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  channel.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(finished.load(), 3);
-}
-
-TEST(StageChannelTest, CloseWakesBlockedProducer) {
-  StageChannel<int> channel(1);
-  ASSERT_TRUE(channel.push(1));  // channel now full
-  std::atomic<bool> second_push_result{true};
-  std::thread producer([&] {
-    second_push_result = channel.push(2);  // blocks until close
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  channel.close();
-  producer.join();
-  EXPECT_FALSE(second_push_result.load());
-}
-
-TEST(StageChannelTest, ManyProducersManyConsumersDeliverEverythingOnce) {
-  StageChannel<int> channel(4);
-  constexpr int kProducers = 4;
-  constexpr int kItemsEach = 250;
-  std::atomic<int> produced{0};
-  std::vector<std::thread> workers;
-  for (int p = 0; p < kProducers; ++p) {
-    workers.emplace_back([&, p] {
-      for (int i = 0; i < kItemsEach; ++i) {
-        ASSERT_TRUE(channel.push(p * kItemsEach + i));
-        ++produced;
-      }
-    });
-  }
-  std::mutex seen_mutex;
-  std::set<int> seen;
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto item = channel.pop()) {
-        std::lock_guard lock(seen_mutex);
-        EXPECT_TRUE(seen.insert(*item).second) << "duplicate " << *item;
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  channel.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(produced.load(), kProducers * kItemsEach);
-  EXPECT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers * kItemsEach));
 }
 
 }  // namespace

@@ -68,7 +68,10 @@ TEST(TransportDifferentialTest, SocketMatchesLoopbackBitForBit) {
       for (bool batched : {true, false}) {
         core::SimConfig loop =
             base_config(circuit.num_qubits(), ranks, "loopback");
-        loop.enable_run_batching = batched;
+        if (!batched) {  // the per-gate baseline as a run configuration
+          loop.max_run_length = 1;
+          loop.enable_fusion_prepass = false;
+        }
         loop.initial_level = 2;
         core::CompressedStateSimulator reference_sim(loop);
         reference_sim.apply_circuit(circuit);
