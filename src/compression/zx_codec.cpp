@@ -41,7 +41,8 @@ void ZxCodec::decompress(ByteSpan compressed, std::span<double> out,
   if (lossless::zx_original_size(compressed) != out.size_bytes()) {
     throw std::runtime_error("ZxCodec: output size mismatch");
   }
-  lossless::zx_decompress_into(compressed, scratch.zx, scratch.inner);
+  lossless::zx_decompress_into(compressed, out.size_bytes(), scratch.zx,
+                               scratch.inner);
   if (!scratch.inner.empty()) {
     std::memcpy(out.data(), scratch.inner.data(), scratch.inner.size());
   }

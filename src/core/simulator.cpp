@@ -1,6 +1,7 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -61,6 +62,38 @@ void append_gate_descriptor(Bytes& out, const GateOp& op, int level) {
   put_varint(out, static_cast<std::uint64_t>(op.controls[1] + 1));
   for (double p : op.params) put_scalar(out, p);
   out.push_back(static_cast<std::byte>(level));
+}
+
+/// Read summary of one decoded block of `norms.size()` amplitudes:
+/// sums[0] = sum_k |a_k|^2 and sums[1 + b] = the same over the k with
+/// offset bit b set. Each sum runs over ascending k, the order of the
+/// decode-and-sum sweeps the summaries replace, so it is bit-identical to
+/// them. `norms` is scratch for the |a_k|^2.
+void summarize_block(const Amplitude* amps, std::span<double> norms,
+                     int bits, std::span<double> sums) {
+  double mass = 0.0;
+  for (std::size_t k = 0; k < norms.size(); ++k) {
+    norms[k] = std::norm(amps[k]);
+    mass += norms[k];
+  }
+  sums[0] = mass;
+  std::fill(sums.begin() + 1, sums.end(), 0.0);
+  if (mass == 0.0) return;  // every term, hence every bit sum, is +0.0
+  // The i-th k with bit b set is i with a one inserted at bit b. Four
+  // bits advance together so that their add chains overlap; the last
+  // group repeats its top bit where it has fewer than four.
+  const std::uint64_t half = norms.size() / 2;
+  for (int b0 = 0; b0 < bits; b0 += 4) {
+    std::array<double, 4> partial{};
+    for (std::uint64_t i = 0; i < half; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        const int b = std::min(b0 + j, bits - 1);
+        const std::uint64_t low = i & ((std::uint64_t{1} << b) - 1);
+        partial[j] += norms[((i - low) << 1) | (std::uint64_t{1} << b) | low];
+      }
+    }
+    for (int j = 0; j < 4 && b0 + j < bits; ++j) sums[1 + b0 + j] = partial[j];
+  }
 }
 
 }  // namespace
@@ -1297,6 +1330,30 @@ std::uint64_t CompressedStateSimulator::recompress_all(int new_level) {
   return lossy_blocks.load(std::memory_order_relaxed);
 }
 
+void CompressedStateSimulator::refresh_read_summaries() {
+  std::vector<std::pair<int, int>> stale;
+  for (int r = 0; r < partition_.num_ranks(); ++r) {
+    for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
+      if (ranks_[r].summary(b).empty()) stale.emplace_back(r, b);
+    }
+  }
+  if (stale.empty()) return;
+  const int bits = partition_.offset_bits;
+  pool_->parallel_for(stale.size(), [&](std::size_t i, std::size_t worker) {
+    const auto [rank, block] = stale[i];
+    auto vx = scratch_->vector_x(worker);
+    decompress_block(rank, block, vx, worker);
+    std::array<double, 64> sums{};
+    const std::span<double> summary(sums.data(),
+                                    static_cast<std::size_t>(bits) + 1);
+    summarize_block(as_complex(vx),
+                    scratch_->vector_y(worker).first(
+                        partition_.amplitudes_per_block()),
+                    bits, summary);
+    ranks_[rank].set_summary(block, summary);
+  });
+}
+
 double CompressedStateSimulator::probability_one(int qubit) {
   if (qubit < 0 || qubit >= config_.num_qubits) {
     throw std::out_of_range("probability_one: bad qubit");
@@ -1305,9 +1362,10 @@ double CompressedStateSimulator::probability_one(int qubit) {
   const int physical = map_.physical(qubit);
   const auto segment = partition_.segment_of(physical);
   const int local = partition_.local_bit(physical);
-  std::vector<double> partials(pool_->size(), 0.0);
-
-  std::vector<std::pair<int, int>> units;
+  refresh_read_summaries();
+  // Summed in global block order, so the total does not depend on the
+  // thread count.
+  double total = 0.0;
   for (int r = 0; r < partition_.num_ranks(); ++r) {
     if (segment == Partition::Segment::kRank && ((r >> local) & 1) == 0) {
       continue;
@@ -1316,49 +1374,22 @@ double CompressedStateSimulator::probability_one(int qubit) {
       if (segment == Partition::Segment::kBlock && ((b >> local) & 1) == 0) {
         continue;
       }
-      units.emplace_back(r, b);
+      const auto summary = ranks_[r].summary(b);
+      total += segment == Partition::Segment::kOffset ? summary[1 + local]
+                                                      : summary[0];
     }
   }
-  pool_->parallel_for(units.size(), [&](std::size_t i, std::size_t worker) {
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(units[i].first, units[i].second, vx, worker);
-    const auto* amps = as_complex(vx);
-    const std::uint64_t count = partition_.amplitudes_per_block();
-    double sum = 0.0;
-    if (segment == Partition::Segment::kOffset) {
-      const std::uint64_t bit = std::uint64_t{1} << local;
-      for (std::uint64_t k = 0; k < count; ++k) {
-        if (k & bit) sum += std::norm(amps[k]);
-      }
-    } else {
-      for (std::uint64_t k = 0; k < count; ++k) sum += std::norm(amps[k]);
-    }
-    partials[worker] += sum;
-  });
-  double total = 0.0;
-  for (double p : partials) total += p;
   return total;
 }
 
 double CompressedStateSimulator::norm() {
-  std::vector<double> partials(pool_->size(), 0.0);
-  const std::size_t total_blocks =
-      static_cast<std::size_t>(partition_.num_ranks()) *
-      partition_.blocks_per_rank();
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
-    const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
-    const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    const auto* amps = as_complex(vx);
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k < partition_.amplitudes_per_block(); ++k) {
-      sum += std::norm(amps[k]);
-    }
-    partials[worker] += sum;
-  });
+  refresh_read_summaries();
   double total = 0.0;
-  for (double p : partials) total += p;
+  for (int r = 0; r < partition_.num_ranks(); ++r) {
+    for (int b = 0; b < partition_.blocks_per_rank(); ++b) {
+      total += ranks_[r].summary(b)[0];
+    }
+  }
   return total;
 }
 
@@ -1446,6 +1477,9 @@ double CompressedStateSimulator::expectation_pauli_z(
         (std::popcount(static_cast<unsigned>(block & block_mask)) +
          std::popcount(static_cast<unsigned>(rank & rank_mask))) &
         1;
+    // A block of mass exactly 0 would add +0.0; skipping it is exact.
+    const auto summary = ranks_[rank].summary(block);
+    if (!summary.empty() && summary[0] == 0.0) return;
     auto vx = scratch_->vector_x(worker);
     decompress_block(rank, block, vx, worker);
     const auto* amps = as_complex(vx);
@@ -1463,23 +1497,17 @@ double CompressedStateSimulator::expectation_pauli_z(
 }
 
 std::uint64_t CompressedStateSimulator::sample(Rng& rng) {
-  // Pass 1: per-block probability mass.
+  // Pass 1: per-block probability mass, from the read summaries.
   const std::size_t total_blocks =
       static_cast<std::size_t>(partition_.num_ranks()) *
       partition_.blocks_per_rank();
+  refresh_read_summaries();
   std::vector<double> masses(total_blocks, 0.0);
-  pool_->parallel_for(total_blocks, [&](std::size_t i, std::size_t worker) {
+  for (std::size_t i = 0; i < total_blocks; ++i) {
     const int rank = static_cast<int>(i) / partition_.blocks_per_rank();
     const int block = static_cast<int>(i) % partition_.blocks_per_rank();
-    auto vx = scratch_->vector_x(worker);
-    decompress_block(rank, block, vx, worker);
-    const auto* amps = as_complex(vx);
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k < partition_.amplitudes_per_block(); ++k) {
-      sum += std::norm(amps[k]);
-    }
-    masses[i] = sum;
-  });
+    masses[i] = ranks_[rank].summary(block)[0];
+  }
   double total = 0.0;
   for (double m : masses) total += m;
 

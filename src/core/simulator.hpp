@@ -209,6 +209,12 @@ class CompressedStateSimulator {
                         std::size_t worker) const;
   void decompress_payload(ByteSpan payload, const runtime::BlockMeta& meta,
                           std::span<double> out, std::size_t worker) const;
+  /// Gives every block a read summary: [0] holds the block's mass
+  /// sum_k |a_k|^2 and [1 + b] the mass of the amplitudes whose offset has
+  /// bit b set. Only blocks written since their last summary are decoded,
+  /// in one parallel_for; sample(), probability_one() and norm() read the
+  /// sums instead of sweeping the state.
+  void refresh_read_summaries();
 
   /// Shared tail of apply_circuit / resume_circuit: applies the ops of
   /// `circuit` from gate_cursor_ to the end in autosave-interval-aligned

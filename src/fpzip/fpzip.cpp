@@ -113,9 +113,10 @@ void FpzipCodec::decompress(ByteSpan compressed, std::span<double> out,
   if (out.size() != count) {
     throw std::runtime_error("fpzip: output size mismatch");
   }
+  // One zigzag varint of at most 10 bytes per element.
   Bytes& residuals = scratch.inner;
-  lossless::zx_decompress_into(compressed.subspan(offset), scratch.zx,
-                               residuals);
+  lossless::zx_decompress_into(compressed.subspan(offset), 10 * count,
+                               scratch.zx, residuals);
   std::size_t pos = 0;
   std::uint64_t prev_ordered = order_encode(0);
   for (std::size_t i = 0; i < count; ++i) {

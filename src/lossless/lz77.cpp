@@ -68,6 +68,39 @@ void begin_pass(Lz77Scratch& scratch, std::size_t n) {
   if (scratch.prev.size() < n) scratch.prev.resize(n);
 }
 
+/// Matches up to this many bytes are copied one byte at a time, which
+/// costs less than a memcpy call for the short matches that fill the
+/// token streams of amplitude data. Timing the decode alone on the zx
+/// token stream of qaoa18 (4 MiB), memcpy for every match was about 20%
+/// slower than the byte loop and a cutoff of 8 about 10% slower; cutoffs
+/// of 16 to 256 were within noise of each other and of the byte loop.
+constexpr std::size_t kShortMatch = 32;
+
+/// Writes the `length`-byte match that starts `distance` bytes before
+/// `dst`. An overlapping match (distance < length) repeats the last
+/// `distance` bytes, so it cannot be one memmove. Instead the copy
+/// doubles: [dst - distance, dst + done) always holds whole periods of the
+/// run, so the next chunk is copied from `span` bytes back, where `span`
+/// is the largest multiple of `distance` that is at most done + distance.
+/// Source and destination of each memcpy are then disjoint, the first copy
+/// moves `distance` bytes (the whole match when distance >= length), and
+/// each later copy at least doubles `done`.
+inline void copy_match(std::byte* dst, std::size_t distance,
+                       std::size_t length) {
+  if (length <= kShortMatch) {
+    const std::byte* src = dst - distance;
+    for (std::size_t i = 0; i < length; ++i) dst[i] = src[i];
+    return;
+  }
+  std::size_t done = 0;
+  while (done < length) {
+    const std::size_t span = (done + distance) / distance * distance;
+    const std::size_t chunk = std::min(span, length - done);
+    std::memcpy(dst + done, dst + done - span, chunk);
+    done += chunk;
+  }
+}
+
 }  // namespace
 
 void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
@@ -169,14 +202,12 @@ void lz77_detokenize(ByteSpan tokens, std::size_t expected_size, Bytes& out) {
     if (match_offset == 0 || match_offset > out.size()) {
       throw std::runtime_error("cqs: lz77 bad match offset");
     }
-    // Forward byte copy: overlapping matches (offset < len) replicate runs,
-    // so this must not be a memmove. Resizing once keeps the loop free of
-    // per-byte capacity checks.
+    // Growing by the match alone (not to expected_size up front) means a
+    // forged header never makes the decoder touch more memory than the
+    // tokens actually produce.
     const std::size_t old_size = out.size();
     out.resize(old_size + match_len);
-    std::byte* dst = out.data() + old_size;
-    const std::byte* src = dst - match_offset;
-    for (std::uint64_t i = 0; i < match_len; ++i) dst[i] = src[i];
+    copy_match(out.data() + old_size, match_offset, match_len);
   }
 }
 

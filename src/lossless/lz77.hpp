@@ -69,7 +69,10 @@ void lz77_tokenize(ByteSpan input, Bytes& out, const Lz77Config& config,
 /// Reverses lz77_tokenize. `expected_size` reserves the output and bounds
 /// it: a literal run or match that would grow the output past it is
 /// rejected before anything is allocated. The stream is self-terminating.
-/// Throws std::runtime_error on malformed input.
+/// Matches longer than 32 bytes are copied with memcpy, overlapping ones
+/// (runs) by doubling copies of whole periods; the output bytes are those
+/// of a forward byte-by-byte copy. Throws std::runtime_error on malformed
+/// input.
 Bytes lz77_detokenize(ByteSpan tokens, std::size_t expected_size);
 
 /// In-place variant: replaces the contents of `out` (capacity reused).

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -148,7 +149,8 @@ Bytes zx_compress(ByteSpan input, const ZxConfig& config) {
   return out;
 }
 
-void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch, Bytes& out) {
+void zx_decompress_into(ByteSpan compressed, std::size_t max_size,
+                        ZxScratch& scratch, Bytes& out) {
   if (compressed.size() < 3 || compressed[0] != kMagic0 ||
       compressed[1] != kMagic1) {
     throw std::runtime_error("cqs: not a zx container");
@@ -156,6 +158,9 @@ void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch, Bytes& out) {
   const std::byte mode = compressed[2];
   std::size_t offset = 3;
   const std::uint64_t original_size = get_varint(compressed, offset);
+  if (original_size > max_size) {
+    throw std::runtime_error("cqs: zx size exceeds its bound");
+  }
   const ByteSpan payload = compressed.subspan(offset);
 
   if (mode == kModeRaw) {
@@ -183,7 +188,8 @@ void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch, Bytes& out) {
 Bytes zx_decompress(ByteSpan compressed) {
   ZxScratch scratch;
   Bytes out;
-  zx_decompress_into(compressed, scratch, out);
+  zx_decompress_into(compressed, std::numeric_limits<std::size_t>::max(),
+                     scratch, out);
   return out;
 }
 

@@ -24,6 +24,14 @@
 // look for (unaligned, or over low-order bytes only), which on amplitude
 // data is rare. Inputs to the LZ77 stage are limited to 4 GiB (lz77.hpp).
 //
+// Decoding copies each LZ77 match of more than 32 bytes with memcpy: a
+// match whose offset is at least its length in one call, an overlapping
+// one (a run, such as the single offset-1 match of an all-zero block) by
+// doubling copies of whole periods, each call moving at least as many
+// bytes as are already in the match. Shorter matches, which fill the
+// token streams of amplitude data, are copied byte by byte. A 64 KiB
+// zero block decodes in a few microseconds instead of ~150 us.
+//
 // The *_into variants append/replace into caller-owned buffers and thread
 // a ZxScratch, so a warm scratch makes a full compress/decompress round
 // allocation-free; the value-returning entry points forward to them.
@@ -83,10 +91,16 @@ void zx_store_raw_into(ByteSpan input, Bytes& out);
 bool zx_has_word_repeat(ByteSpan input, ZxScratch& scratch);
 
 /// Decompresses a zx container. Throws std::runtime_error on corruption.
+/// The header's size is not bounded, so this is for trusted input; decoders
+/// of untrusted containers use zx_decompress_into with a bound.
 Bytes zx_decompress(ByteSpan compressed);
 
-/// Scratch-pooled variant; replaces the contents of `out`.
-void zx_decompress_into(ByteSpan compressed, ZxScratch& scratch, Bytes& out);
+/// Scratch-pooled variant; replaces the contents of `out`. A header size
+/// above `max_size` throws std::runtime_error before anything is sized by
+/// it, so callers decoding an inner stream pass the most its element count
+/// can produce.
+void zx_decompress_into(ByteSpan compressed, std::size_t max_size,
+                        ZxScratch& scratch, Bytes& out);
 
 /// Original (decompressed) size recorded in a zx container header.
 std::size_t zx_original_size(ByteSpan compressed);

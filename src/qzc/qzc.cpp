@@ -191,9 +191,11 @@ void QzcCodec::decompress(ByteSpan compressed, std::span<double> out,
   if (out.size() != h.count) {
     throw std::runtime_error("qzc: output size mismatch");
   }
+  // A varint code-stream size, a 2-bit code and at most 8 payload bytes
+  // per element.
   Bytes& streams = scratch.inner;
   lossless::zx_decompress_into(compressed.subspan(h.payload_offset),
-                               scratch.zx, streams);
+                               9 * h.count + 16, scratch.zx, streams);
   std::size_t offset = 0;
   const std::uint64_t codes_size = get_varint(streams, offset);
   if (offset + codes_size > streams.size()) {

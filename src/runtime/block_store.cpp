@@ -202,6 +202,7 @@ void BlockStore::set_block(int index, Bytes payload, BlockMeta meta) {
   }
   resident_delta += static_cast<std::ptrdiff_t>(payload.size());
   slot.payload = std::make_shared<const Bytes>(std::move(payload));
+  slot.summary.clear();
   ++slot.generation;
   std::atomic_ref<std::uint8_t>(slot.advised)
       .store(0, std::memory_order_relaxed);

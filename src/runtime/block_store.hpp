@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -116,9 +117,26 @@ class BlockStore {
   }
 
   /// Replaces a block's payload, making it resident (a spilled block's
-  /// segment is freed). Keeps tier accounting current. Safe to call
-  /// concurrently for distinct indices.
+  /// segment is freed), and drops its read summary. Keeps tier accounting
+  /// current. Safe to call concurrently for distinct indices.
   void set_block(int index, Bytes payload, BlockMeta meta);
+
+  // --- Read summaries: a few doubles the owner derives from a block's
+  // --- decoded contents, so reads of an unchanged block need no decode.
+  // --- A summary lives until the block is next written; tier moves keep
+  // --- it (the bytes do not change), and it is never serialized or
+  // --- counted in the byte totals.
+
+  /// The summary recorded since the block's last write; empty if none.
+  std::span<const double> summary(int index) const {
+    return slots_[static_cast<std::size_t>(index)].summary;
+  }
+  /// Records a block's summary. Same contract as set_block: concurrent
+  /// calls must name distinct indices.
+  void set_summary(int index, std::span<const double> values) {
+    auto& summary = slots_[static_cast<std::size_t>(index)].summary;
+    summary.assign(values.begin(), values.end());
+  }
 
   /// Synchronously moves a resident block to the spill tier (write +
   /// commit). No-op when already spilled. Throws SpillError on write
@@ -182,6 +200,8 @@ class BlockStore {
     /// the next write. Crossed between threads, hence accessed through
     /// atomic_ref; mutable because reads account through it.
     mutable std::uint8_t advised = 0;
+    /// Read summary of the current payload; cleared by set_block.
+    std::vector<double> summary;
   };
 
   void account(std::ptrdiff_t resident_delta, std::ptrdiff_t spilled_delta);

@@ -242,17 +242,13 @@ void SzCodec::decompress(ByteSpan compressed, std::span<double> out,
   }
 
   // The inner stream's size is untrusted too. Bound it by the most that
-  // `count` elements can emit before zx sizes its output by it: a Huffman
-  // table of at most 2^16 four-byte entries, then at most 20 bytes per
-  // element (a 3-byte code, an 8-byte outlier, two mask bits and an 8-byte
-  // special value).
-  const ByteSpan packed = compressed.subspan(offset);
-  if (lossless::zx_original_size(packed) >
-      20 * count + (std::uint64_t{1} << 19)) {
-    throw std::runtime_error("sz: inner stream larger than its elements");
-  }
+  // `count` elements can emit: a Huffman table of at most 2^16 four-byte
+  // entries, then at most 20 bytes per element (a 3-byte code, an 8-byte
+  // outlier, two mask bits and an 8-byte special value).
   Bytes& inner = scratch.inner;
-  lossless::zx_decompress_into(packed, scratch.zx, inner);
+  lossless::zx_decompress_into(compressed.subspan(offset),
+                               20 * count + (std::size_t{1} << 19),
+                               scratch.zx, inner);
   std::size_t pos = 0;
   read_codes(inner, pos, bins, count, scratch);
 

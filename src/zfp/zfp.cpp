@@ -572,9 +572,11 @@ void ZfpCodec::decompress(ByteSpan compressed, std::span<double> out,
   auto& logs = scratch.values;
   logs.resize(count);
   decompress_absolute(compressed.subspan(offset, inner_size), logs);
+  // Two bitmasks (a varint length and one bit per element each), a
+  // varint special-value count and at most one 8-byte value per element.
   Bytes& sides = scratch.inner;
   lossless::zx_decompress_into(compressed.subspan(offset + inner_size),
-                               scratch.zx, sides);
+                               9 * count + 32, scratch.zx, sides);
   std::size_t pos = 0;
   auto& negative = scratch.mask_a;
   auto& special = scratch.mask_b;

@@ -26,7 +26,8 @@ TEST(CodecAllocTest, ZxIntoPathsAreAllocationFreeWhenWarm) {
   for (int warm = 0; warm < 3; ++warm) {
     compressed.clear();
     lossless::zx_compress_into(input, {}, scratch, compressed);
-    lossless::zx_decompress_into(compressed, scratch, decompressed);
+    lossless::zx_decompress_into(compressed, input.size(), scratch,
+                                 decompressed);
   }
   const std::uint64_t compress_allocs = count_allocations([&] {
     compressed.clear();
@@ -34,7 +35,8 @@ TEST(CodecAllocTest, ZxIntoPathsAreAllocationFreeWhenWarm) {
   });
   EXPECT_EQ(compress_allocs, 0u);
   const std::uint64_t decompress_allocs = count_allocations([&] {
-    lossless::zx_decompress_into(compressed, scratch, decompressed);
+    lossless::zx_decompress_into(compressed, input.size(), scratch,
+                                 decompressed);
   });
   EXPECT_EQ(decompress_allocs, 0u);
   ASSERT_EQ(decompressed.size(), input.size());

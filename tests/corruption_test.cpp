@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -277,25 +279,69 @@ TEST(SzCorruptionTest, HugeSpecialCountRejected) {
   expect_bounded_sz_failure(inner);
 }
 
-TEST(SzCorruptionTest, HugeInnerStreamSizeRejected) {
-  // The inner zx header claims 2^40 bytes, far more than any inner
-  // stream of kSzCount elements can hold.
-  Bytes container{std::byte{'S'}, std::byte{'Z'}, std::byte{2}};
-  put_varint(container, kSzCount);
-  put_varint(container, kSzBins);
-  put_scalar(container, 0.01);
-  const Bytes inner = zx_header(2, kHuge);
+// Each lossy codec's inner zx stream claims 2^40 bytes, far more than an
+// inner stream of kSzCount elements can hold: the codec's per-element
+// bound must reject it before zx sizes anything by it.
+Bytes huge_inner_stream() {
+  Bytes inner = zx_header(2, kHuge);
+  put_varint(inner, 0);  // a token stream that would end at once
+  put_varint(inner, 0);
+  return inner;
+}
+
+void expect_bounded_codec_failure(const std::string& codec_name,
+                                  Bytes container) {
+  const Bytes inner = huge_inner_stream();
   container.insert(container.end(), inner.begin(), inner.end());
-  put_varint(container, 0);  // a token stream that would end at once
-  put_varint(container, 0);
-  const auto codec = compression::make_compressor("sz");
+  const auto codec = compression::make_compressor(codec_name);
   compression::CodecScratch scratch;
   std::vector<double> out(kSzCount);
   const test::AllocationStats stats = test::measure_allocations([&] {
     EXPECT_THROW(codec->decompress(container, out, scratch),
-                 std::runtime_error);
+                 std::runtime_error)
+        << codec_name;
   });
-  EXPECT_LT(stats.largest, kSaneAllocation);
+  EXPECT_LT(stats.largest, kSaneAllocation) << codec_name;
+}
+
+TEST(SzCorruptionTest, HugeInnerStreamSizeRejected) {
+  Bytes container{std::byte{'S'}, std::byte{'Z'}, std::byte{2}};
+  put_varint(container, kSzCount);
+  put_varint(container, kSzBins);
+  put_scalar(container, 0.01);
+  expect_bounded_codec_failure("sz", std::move(container));
+}
+
+TEST(FpzipCorruptionTest, HugeInnerStreamSizeRejected) {
+  Bytes container{std::byte{'F'}, std::byte{'P'}, std::byte{20}};
+  put_varint(container, kSzCount);
+  expect_bounded_codec_failure("fpzip", std::move(container));
+}
+
+TEST(QzcCorruptionTest, HugeInnerStreamSizeRejected) {
+  Bytes container{std::byte{'Q'}, std::byte{'Z'}, std::byte{0},
+                  std::byte{20}};
+  put_varint(container, kSzCount);
+  expect_bounded_codec_failure("qzc", std::move(container));
+}
+
+/// A real relative-mode zfp container of kSzCount elements cut after its
+/// log-magnitude blob, where the zx side channel starts.
+Bytes zfp_prefix_before_sides() {
+  const auto codec = compression::make_compressor("zfp");
+  const std::vector<double> data(kSzCount, 0.5);
+  const Bytes original =
+      codec->compress(data, compression::ErrorBound::relative(1e-3));
+  std::size_t offset = 3;
+  get_varint(original, offset);  // element count
+  const std::uint64_t inner_size = get_varint(original, offset);
+  return Bytes(original.begin(),
+               original.begin() +
+                   static_cast<std::ptrdiff_t>(offset + inner_size));
+}
+
+TEST(ZfpCorruptionTest, HugeInnerStreamSizeRejected) {
+  expect_bounded_codec_failure("zfp", zfp_prefix_before_sides());
 }
 
 TEST(ZfpCorruptionTest, EmptyMaskRejected) {
@@ -303,14 +349,7 @@ TEST(ZfpCorruptionTest, EmptyMaskRejected) {
   // container's log-magnitude blob and replace its side channel.
   const auto codec = compression::make_compressor("zfp");
   std::vector<double> data(kSzCount, 0.5);
-  const Bytes original =
-      codec->compress(data, compression::ErrorBound::relative(1e-3));
-  std::size_t offset = 3;
-  get_varint(original, offset);  // element count
-  const std::uint64_t inner_size = get_varint(original, offset);
-  Bytes container(original.begin(),
-                  original.begin() + static_cast<std::ptrdiff_t>(
-                                         offset + inner_size));
+  Bytes container = zfp_prefix_before_sides();
   Bytes sides;
   put_varint(sides, 0);  // sign mask of no elements
   put_varint(sides, 0);  // special mask of no elements

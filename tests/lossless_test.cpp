@@ -209,6 +209,115 @@ TEST(Lz77Test, DetokenizeRejectsMatchPastExpectedSize) {
   EXPECT_THROW(lz77_detokenize(tokens, 8), std::runtime_error);
 }
 
+/// Byte-at-a-time decoder for well-formed token streams: the reference
+/// the memcpy-based match copy is checked against.
+Bytes reference_detokenize(ByteSpan tokens) {
+  Bytes out;
+  std::size_t offset = 0;
+  while (true) {
+    const std::uint64_t lit_len = get_varint(tokens, offset);
+    out.insert(out.end(), tokens.begin() + offset,
+               tokens.begin() + offset + lit_len);
+    offset += lit_len;
+    const std::uint64_t len_code = get_varint(tokens, offset);
+    if (len_code == 0) return out;
+    const std::uint64_t length = len_code - 1 + kMinMatch;
+    const std::uint64_t distance = get_varint(tokens, offset);
+    for (std::uint64_t i = 0; i < length; ++i) {
+      out.push_back(out[out.size() - distance]);
+    }
+  }
+}
+
+/// Appends one token: `literals`, then a match (length 0 = none).
+void put_token(Bytes& tokens, ByteSpan literals, std::uint64_t length,
+               std::uint64_t distance) {
+  put_varint(tokens, literals.size());
+  tokens.insert(tokens.end(), literals.begin(), literals.end());
+  if (length == 0) {
+    put_varint(tokens, 0);
+    return;
+  }
+  put_varint(tokens, length - kMinMatch + 1);
+  put_varint(tokens, distance);
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes b(n);
+  for (auto& x : b) x = static_cast<std::byte>(rng.next_u64() & 0xff);
+  return b;
+}
+
+TEST(Lz77Test, MatchCopyEqualsByteLoopReference) {
+  // One match per stream, preceded by exactly `distance` literal bytes,
+  // so every match ends exactly at expected_size.
+  Rng rng(41);
+  std::vector<std::uint64_t> distances;
+  for (std::uint64_t d = 1; d <= 64; ++d) distances.push_back(d);
+  for (std::uint64_t d : {100, 255, 1000, 4096, 65535}) {
+    distances.push_back(d);
+  }
+  const std::uint64_t lengths[] = {4,    5,    7,     8,         15,
+                                   16,   17,   24,    31,        33,
+                                   63,   64,   65,    100,       1000,
+                                   4097, 9999, 65539, 1u << 17};
+  for (std::uint64_t distance : distances) {
+    const Bytes literals = random_bytes(rng, distance);
+    for (std::uint64_t length : lengths) {
+      Bytes tokens;
+      put_token(tokens, literals, length, distance);
+      put_token(tokens, {}, 0, 0);
+      const Bytes expected = reference_detokenize(tokens);
+      ASSERT_EQ(expected.size(), distance + length);
+      EXPECT_EQ(lz77_detokenize(tokens, expected.size()), expected)
+          << "distance " << distance << " length " << length;
+    }
+  }
+}
+
+TEST(Lz77Test, RandomTokenStreamsEqualByteLoopReference) {
+  Rng rng(43);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes tokens;
+    std::size_t produced = 0;
+    const int count = 1 + static_cast<int>(rng.next_below(20));
+    for (int t = 0; t < count; ++t) {
+      const Bytes literals =
+          random_bytes(rng, produced == 0 ? 1 + rng.next_below(8)
+                                          : rng.next_below(8));
+      produced += literals.size();
+      const std::uint64_t distance = 1 + rng.next_below(produced);
+      const std::uint64_t length =
+          kMinMatch + rng.next_below(rng.next_below(2) ? 16 : 3000);
+      put_token(tokens, literals, length, distance);
+      produced += length;
+    }
+    put_token(tokens, {}, 0, 0);  // the last match ends the output
+    const Bytes expected = reference_detokenize(tokens);
+    ASSERT_EQ(expected.size(), produced);
+    EXPECT_EQ(lz77_detokenize(tokens, produced), expected)
+        << "trial " << trial;
+  }
+}
+
+TEST(ZxTest, PeriodicBlocksRoundTrip) {
+  // A zero block and blocks with 8-, 16- and 24-byte periods, a whole
+  // block and a ragged tail each: one long overlapping match apiece.
+  Rng rng(47);
+  for (std::size_t size : {std::size_t{1} << 16, (std::size_t{1} << 16) + 5}) {
+    for (std::size_t period : {0, 8, 16, 24}) {
+      Bytes input(size, std::byte{0});
+      if (period != 0) {
+        const Bytes pattern = random_bytes(rng, period);
+        for (std::size_t i = 0; i < size; ++i) input[i] = pattern[i % period];
+      }
+      const Bytes compressed = zx_compress(input);
+      EXPECT_LT(compressed.size(), 64u) << "period " << period;
+      EXPECT_EQ(zx_decompress(compressed), input) << "period " << period;
+    }
+  }
+}
+
 TEST(Lz77Test, TokenizeRejectsInputsOf4GiB) {
   // Chain links are 32-bit positions. A lazily mapped, never touched
   // zero region stands in for the 4 GiB input.
